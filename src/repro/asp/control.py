@@ -55,6 +55,7 @@ origins); with the flag off the grounding fast path is untouched.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import (
     Dict,
     Iterable,
@@ -403,15 +404,11 @@ class Control:
         contract), and enumeration records much shorter solution
         clauses in exchange.
         """
-        with self._tracer.span(
-            "control.solve", multishot=self._multishot
-        ) as span:
-            solver = self._acquire_solver()
-            timer = Timer().start()
+        with self.solver_call(assumptions) as (solver, merged):
             count = 0
             inner = solver.models(
                 limit=limit,
-                assumptions=self._solve_assumptions(assumptions),
+                assumptions=merged,
                 retract=self._multishot,
                 project=project,
             )
@@ -422,8 +419,35 @@ class Control:
             finally:
                 inner.close()
                 self._last_core = solver.unsat_core if count == 0 else None
-                span.update(models=count)
-                self._record_solve(solver, timer.stop(), count)
+
+    @contextmanager
+    def solver_call(
+        self, assumptions: Sequence[Tuple[Atom, bool]] = ()
+    ) -> Iterator[Tuple[StableModelSolver, List[Tuple[Atom, bool]]]]:
+        """Drive this control's solver directly for one recorded call.
+
+        Yields ``(solver, assumptions)``: the solver a :meth:`solve`
+        would use (the persistent one in multi-shot mode) and the
+        caller's assumptions merged with the external assignments.  The
+        call runs inside a ``control.solve`` span and is folded into
+        :attr:`statistics` on exit, with the models the solver
+        enumerated meanwhile, like any solve — the way in for the raw
+        solver interfaces such as
+        :meth:`StableModelSolver.project_models`.
+        """
+        with self._tracer.span(
+            "control.solve", multishot=self._multishot
+        ) as span:
+            solver = self._acquire_solver()
+            self._last_core = None
+            before = solver.statistics["models"]
+            timer = Timer().start()
+            try:
+                yield solver, self._solve_assumptions(assumptions)
+            finally:
+                models = solver.statistics["models"] - before
+                span.update(models=models)
+                self._record_solve(solver, timer.stop(), models)
 
     def first_model(
         self,

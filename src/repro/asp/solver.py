@@ -125,6 +125,7 @@ class StableModelSolver:
 
         self._program = program
         self._trace = trace if trace is not None else NULL_SINK
+        self._traced = self._trace is not NULL_SINK
         self._sat = SatSolver(trace=self._trace, **(heuristics or {}))
         self._true = self._sat.new_var()
         self._sat.add_clause([self._true])
@@ -743,7 +744,8 @@ class StableModelSolver:
         called with the **transient** raw assignment array (index 0
         unused, values +1/-1; probe it via :meth:`atom_var` before
         returning — the next DFS step mutates it in place).  Returns the
-        number of stable models found.
+        number of stable models found; with a trace sink attached each
+        one also emits a ``solver.model`` event, as in :meth:`models`.
 
         Requirements, checked at runtime: the projection atoms must
         functionally determine every answer set (same contract as
@@ -777,6 +779,7 @@ class StableModelSolver:
         assignment = sat.assignment_view()
         num_vars = sat.num_vars
         trail = sat.trail_view()
+        trace = self._trace if self._traced else None
         count = 0
 
         def leaf() -> int:
@@ -804,6 +807,8 @@ class StableModelSolver:
                         return 0
                 self._models_enumerated += 1
                 count += 1
+                if trace is not None:
+                    trace.emit("solver.model", number=self._models_enumerated)
                 on_model(assignment)
                 return 1
             finally:

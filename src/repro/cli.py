@@ -758,10 +758,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel-mode",
         choices=("auto", "cube", "portfolio"),
         default="auto",
-        help="how --workers are used: 'auto' shards enumerations over "
-        "cubes and races single-answer queries over a solver portfolio, "
-        "'cube' only shards enumerations, 'portfolio' only races "
-        "single-answer queries (see docs/parallelism.md)",
+        help="how --workers are used by the EPA engine: 'auto' and "
+        "'cube' shard scenario sweeps over cubes, 'portfolio' keeps them "
+        "sequential; pinned single-scenario queries never race "
+        "(see docs/parallelism.md)",
     )
     observability.add_argument(
         "--reduce-base",

@@ -156,6 +156,10 @@ class ScenarioAggregate:
                 self.worst_component_grade[component] = rank
         self._insert_minimal(outcome.active_faults)
 
+    def clear(self) -> None:
+        """Forget everything folded so far, keeping the sweep shape."""
+        self.__init__(self.requirements, self.magnitudes, self.max_minimal_sets)
+
     def _insert_minimal(self, candidate: FrozenSet[FaultRef]) -> None:
         """Antichain insert: drop the candidate when a kept set subsumes
         it, drop kept supersets otherwise.  Insertion order does not

@@ -13,25 +13,35 @@ issues into one :class:`~repro.observability.SolveStats`, exposed as
 section).  Pass ``trace=`` a sink to stream grounder/solver events plus
 ``epa.analyze`` summaries.
 
-Incremental solving: by default the engine keeps one persistent
-multi-shot :class:`~repro.asp.Control` per scenario-choice shape,
-declaring mitigation deployments (``active_mitigation``) and fault
-restrictions (``allowed_fault`` behind an ``epa_restrict`` guard) as
-external atoms — what-if sweeps flip assumptions instead of rebuilding
-and regrounding program text (``incremental=False`` restores the
-fresh-control-per-call path, which differential tests pin against).
-Parallel solving: ``workers=N`` shards :meth:`EpaEngine.analyze` over
-occurrence-ordered cubes of the fault-choice space (see
-:mod:`repro.asp.cubes`) evaluated in a work-stealing process pool
-(:class:`~repro.parallel.WorkStealingPool`).  The parent grounds once,
-builds one solver template and publishes both in a module-level context
-that fork-started workers inherit copy-on-write; each worker then runs
-the propagation-driven projected enumeration
-(:meth:`~repro.asp.solver.StableModelSolver.project_models`) over its
-cubes and ships back extracted outcomes, not raw models.  Cube shards
-partition the scenario space, so the merged report is identical to a
-sequential run (see ``docs/parallelism.md`` for the full architecture
-and tuning guide).
+One enumeration kernel: the engine keeps one persistent multi-shot
+:class:`~repro.asp.Control` per ``max_faults`` bound whose mitigation
+deployments (``active_mitigation``) and fault restrictions
+(``allowed_fault`` behind an ``epa_restrict`` guard) are external
+atoms, so a what-if query flips assumptions instead of regrounding.
+:meth:`EpaEngine._enumerate` passes the externals and an optional cube
+(a partial fault assignment) as assumptions to the propagation-driven
+projected search over the fault-activation atoms
+(:meth:`~repro.asp.solver.StableModelSolver.project_models`) and reads
+each outcome off the assignment through one probe table.  If a leaf
+stays open to propagation (:class:`~repro.asp.solver.ProjectionIncomplete`)
+the kernel discards its partial output and enumerates the same space
+by CDCL search instead — slower, never different.  The entry points
+are sinks over the kernel: :meth:`EpaEngine.analyze` collects a list,
+:meth:`EpaEngine.aggregate` folds a
+:class:`~repro.epa.aggregate.ScenarioAggregate`,
+:meth:`EpaEngine.analyze_scenario` pins every potential fault (one
+leaf), and :meth:`EpaEngine.analyze_stream` lazily iterates the CDCL
+enumerator.
+
+Parallel solving: ``workers=N`` shards :meth:`EpaEngine.analyze` and
+:meth:`EpaEngine.aggregate` over occurrence-ordered cubes (see
+:mod:`repro.asp.cubes`) in a work-stealing process pool
+(:class:`~repro.parallel.WorkStealingPool`).  The parent publishes the
+multi-shot ground program (RGP1) and a solver template, which forked
+workers inherit copy-on-write; each worker runs the kernel on its cube
+under the parent's external assignment and ships partial results back.
+Cubes partition the scenario space, so the merged result equals a
+sequential run (see ``docs/parallelism.md``).
 """
 
 from __future__ import annotations
@@ -40,24 +50,29 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import networkx as nx
 
 from ..asp import Control, Model, atom
-from ..asp.cubes import (
-    generate_cubes,
-    linear_cubes,
-    order_by_occurrence,
-    resolve_cube_factor,
-)
+from ..asp.cubes import linear_cubes, order_by_occurrence, resolve_cube_factor
 from ..asp.sat import TRUE
 from ..asp.serialize import publish, shared_program
 from ..asp.solver import ProjectionIncomplete, StableModelSolver
 from ..asp.syntax import Atom, Program
-from ..asp.terms import Number, Symbol
+from ..asp.terms import Number
 from ..observability import (
-    MemoryTraceSink,
     NULL_SINK,
     SolveStats,
     Tracer,
@@ -68,13 +83,7 @@ from ..observability.metrics import get_registry, record_peak_rss
 from ..observability.progress import ProgressTracker
 from ..modeling.model import SystemModel
 from ..modeling.to_asp import to_asp_program
-from ..parallel import (
-    ParallelError,
-    WorkStealingPool,
-    emit_partial,
-    parallel_map,
-    split_cubes,
-)
+from ..parallel import ParallelError, WorkStealingPool, emit_partial
 from ..provenance import minimize_core
 from ..security.mapping import CandidateMutation
 from .aggregate import (
@@ -83,7 +92,7 @@ from .aggregate import (
     read_checkpoint,
     write_checkpoint,
 )
-from .faults import FaultRef, error_kind
+from .faults import FaultRef
 from .results import EpaReport, PropagationStep, ScenarioOutcome
 from .rules import epa_rule_base, scenario_choice
 
@@ -122,7 +131,6 @@ class EpaEngine:
         component_mitigations: Mapping[Tuple[str, str], Sequence[str]] = (),
         extra_mutations: Sequence[CandidateMutation] = (),
         trace: Optional[object] = None,
-        incremental: bool = True,
         workers: Optional[int] = None,
         parallel_mode: str = "auto",
         cube_factor: Optional[int] = None,
@@ -133,26 +141,21 @@ class EpaEngine:
         (the paper's ``mitigation(F, M)``); ``component_mitigations``
         maps (component, fault) -> mitigation ids; ``trace`` is an
         optional :class:`~repro.observability.TraceSink` threaded into
-        every solve the engine issues.  ``incremental=False`` rebuilds a
-        fresh control per call instead of reusing persistent multi-shot
-        controls; ``workers`` sets the default process-pool width for
-        :meth:`analyze` (``None``/``1`` = sequential).  ``parallel_mode``
-        selects how those workers are used: ``"auto"`` shards
-        enumerations over cubes *and* races single-answer queries over a
-        solver portfolio, ``"cube"`` only shards enumerations,
-        ``"portfolio"`` only races single-answer queries (enumerations
-        stay sequential).  ``cube_factor`` overrides the cube
-        oversubscription factor (default: ``REPRO_CUBE_FACTOR`` or 4;
-        see :func:`repro.asp.cubes.resolve_cube_factor`).
-        ``share_clauses`` lets parallel solves exchange glue learnt
-        clauses — portfolio racers over a queue channel, cube workers
-        as dispatch-time warm starts (see ``docs/parallelism.md``);
-        sharing changes latency only, never any verdict or report.
-        ``progress`` attaches a
-        :class:`~repro.observability.ProgressTracker` fed from the
-        streaming hooks (per folded model sequentially, per partial and
-        per completed cube on sharded sweeps) — results are identical
-        with or without it."""
+        every solve the engine issues.  ``workers`` sets the default
+        process-pool width for :meth:`analyze` and :meth:`aggregate`
+        (``None``/``1`` = sequential); ``parallel_mode`` ``"auto"`` or
+        ``"cube"`` shards full enumerations over cubes, ``"portfolio"``
+        keeps them sequential.  No engine query races a solver
+        portfolio: a pinned scenario is one propagation leaf (racing is
+        :meth:`~repro.asp.Control.first_model`'s).  ``cube_factor``
+        overrides the cube oversubscription factor (see
+        :func:`repro.asp.cubes.resolve_cube_factor`).
+        ``share_clauses`` lets cube workers that fall back to CDCL
+        search exchange glue learnt clauses (latency only, never the
+        report; see ``docs/parallelism.md``).  ``progress`` attaches a
+        :class:`~repro.observability.ProgressTracker` fed per scenario
+        sequentially and per partial and cube on sharded sweeps —
+        results are identical with or without it."""
         names = [r.name for r in requirements]
         if len(set(names)) != len(names):
             raise EpaError("duplicate requirement names")
@@ -166,11 +169,13 @@ class EpaEngine:
             for key, ms in dict(component_mitigations).items()
         }
         self.extra_mutations = tuple(extra_mutations)
+        self._requirement_names = {
+            _requirement_symbol(r.name): r.name for r in self.requirements
+        }
         self._graph = model.propagation_graph()
         self._trace = trace if trace is not None else NULL_SINK
         self._tracer = Tracer(self._trace)
         self._stats = SolveStats()
-        self._incremental = incremental
         self._workers = workers
         if parallel_mode not in ("auto", "cube", "portfolio"):
             raise EpaError(
@@ -183,6 +188,8 @@ class EpaEngine:
         self._progress = progress
         self._base_program: Optional[Program] = None
         self._controls: Dict[int, Control] = {}
+        #: probe tables of each persistent control's solver
+        self._probes: Dict[int, Dict[str, object]] = {}
         # separate multi-shot controls for unsat-core queries: they
         # carry extra blocking machinery the analysis controls must not
         # see (differential tests pin analysis output byte-identical)
@@ -218,10 +225,9 @@ class EpaEngine:
         is a :meth:`~repro.parallel.WorkStealingPool.map` dispatch-time
         hook injecting the pool into a cube payload just before it is
         handed to a worker — later cubes start warm with everything
-        earlier cubes learnt.  ``(None, None)`` when sharing is off.
+        earlier cubes learnt.  With sharing off no worker exports, so
+        the pool stays empty and payloads pass through untouched.
         """
-        if not self._share_clauses:
-            return None, None
         seen: Set[frozenset] = set()
         glue: List[List[int]] = []
 
@@ -346,23 +352,7 @@ class EpaEngine:
         """(component, mitigation-symbol) pairs that can suppress a
         fault — the external universe; deployments outside it have no
         semantic effect (``covers`` requires a declaration)."""
-        pairs: List[Tuple[str, str]] = []
-        seen: Set[Tuple[str, str]] = set()
-        for ref in self._fault_pairs():
-            for mitigation in self.fault_mitigations.get(ref.fault, ()):
-                pair = (ref.component, _mitigation_symbol(mitigation))
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
-        for (component, _fault), mitigations in sorted(
-            self.component_mitigations.items()
-        ):
-            for mitigation in mitigations:
-                pair = (component, _mitigation_symbol(mitigation))
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
-        return pairs
+        return list(self._mitigation_names())
 
     def _potential_faults(
         self, active_mitigations: Mapping[str, Sequence[str]]
@@ -370,26 +360,16 @@ class EpaEngine:
         """Python mirror of the ASP suppression logic: the fault pairs
         not suppressed by the given deployment (= the scenario-choice
         space the solver sees)."""
-        active = {
-            (component, _mitigation_symbol(mitigation))
-            for component, mitigations in dict(active_mitigations).items()
-            for mitigation in mitigations
-        }
-        potential: List[FaultRef] = []
-        for ref in self._fault_pairs():
-            covering = {
-                _mitigation_symbol(m)
+        active = _deployed(active_mitigations)
+        return [
+            ref
+            for ref in self._fault_pairs()
+            if not any(
+                (ref.component, _mitigation_symbol(m)) in active
                 for m in self.fault_mitigations.get(ref.fault, ())
-            }
-            covering.update(
-                _mitigation_symbol(m)
-                for m in self.component_mitigations.get(
-                    (ref.component, ref.fault), ()
-                )
+                + self.component_mitigations.get((ref.component, ref.fault), ())
             )
-            if not any((ref.component, m) in active for m in covering):
-                potential.append(ref)
-        return potential
+        ]
 
     def _assign_externals(
         self,
@@ -397,32 +377,82 @@ class EpaEngine:
         deployment: Mapping[str, Sequence[str]],
         restrict: Optional[Sequence[FaultRef]],
     ) -> None:
-        """Pin every external for one call (no free externals: models
-        must match the fresh-control path exactly)."""
-        active = {
-            (component, _mitigation_symbol(mitigation))
-            for component, mitigations in deployment.items()
-            for mitigation in mitigations
-        }
-        for component, mitigation in self._relevant_mitigation_pairs():
+        """Pin every external for one call (a free external would leave
+        the projected search's leaves open to propagation)."""
+        active = _deployed(deployment)
+        for pair in self._relevant_mitigation_pairs():
             control.assign_external(
-                "active_mitigation",
-                component,
-                mitigation,
-                value=(component, mitigation) in active,
+                "active_mitigation", *pair, value=pair in active
             )
-        restricted = restrict is not None
-        control.assign_external("epa_restrict", value=restricted)
-        allowed = (
-            {(f.component, f.fault) for f in restrict} if restricted else set()
-        )
+        control.assign_external("epa_restrict", value=restrict is not None)
+        allowed = {(f.component, f.fault) for f in restrict or ()}
         for ref in self._fault_pairs():
             control.assign_external(
                 "allowed_fault",
                 ref.component,
                 ref.fault,
-                value=restricted and (ref.component, ref.fault) in allowed,
+                value=(ref.component, ref.fault) in allowed,
             )
+
+    # ------------------------------------------------------------------
+    # the enumeration kernel
+    # ------------------------------------------------------------------
+    def _enumerate(
+        self,
+        max_faults: int,
+        deployment: Mapping[str, Sequence[str]],
+        restrict: Optional[Sequence[FaultRef]],
+        cube: Sequence[Tuple[Atom, bool]],
+        sink,
+    ) -> int:
+        """Feed every scenario of one query to ``sink``.
+
+        Pins the persistent control's externals to ``deployment`` and
+        ``restrict``, assumes ``cube`` on top, and runs :func:`_project`
+        on the control's solver; the CDCL fallback reuses that solver,
+        retracting its enumeration clauses afterwards.  ``sink`` takes
+        ``add(outcome)`` and ``clear()``; an attached progress tracker
+        follows it.  Returns the scenario count.
+        """
+        if self._progress is not None:
+            sink = _Tracked(sink, self._progress)
+        control = self._incremental_control(max_faults)
+        self._assign_externals(control, deployment, restrict)
+        project = _fault_atoms(self._potential_faults(deployment))
+        with control.solver_call(cube) as (solver, assumptions):
+            probes = self._probes.get(max_faults)
+            if probes is None:
+                probes = _build_probes(
+                    solver,
+                    control.ground().possible_atoms,
+                    self._requirement_names,
+                )
+                self._probes[max_faults] = probes
+            count = _project(
+                solver, project, assumptions, probes, sink, lambda: solver
+            )
+        self._note_analysis(scenarios=count)
+        return count
+
+    def _query(
+        self,
+        active_mitigations: Mapping[str, Sequence[str]],
+        restrict_faults: Optional[Iterable[FaultRef]] = None,
+    ) -> Tuple[Dict[str, Tuple[str, ...]], Optional[List[FaultRef]]]:
+        """Normalized ``(deployment, restriction)`` of one query."""
+        deployment = {
+            component: tuple(ms)
+            for component, ms in dict(active_mitigations or {}).items()
+        }
+        if restrict_faults is None:
+            return deployment, None
+        return deployment, list(restrict_faults)
+
+    def _sharded(self, workers: Optional[int]) -> bool:
+        """Whether a full enumeration runs on the cube pool."""
+        return bool(workers and workers > 1) and (
+            self._parallel_mode != "portfolio"
+        )
 
     # ------------------------------------------------------------------
     # analysis
@@ -442,41 +472,33 @@ class EpaEngine:
         ``max_faults`` bounds simultaneous fault activations (0 =
         unbounded); ``restrict_faults`` limits the scenario space to a
         subset of fault refs (used for targeted what-if queries).
-        ``workers`` (default: the engine's) shards the enumeration over
-        a process pool; sharding kicks in only for full enumerations
-        (``limit=None``).  With a trace sink attached, worker events are
-        shipped back in the result envelopes and re-emitted on the
-        parent's sink tagged ``worker=<i>``, so ``--trace`` composes
-        with ``--workers N``.
+        ``limit`` stops after that many scenarios, taken from the CDCL
+        enumerator of :meth:`analyze_stream`.  ``workers`` (default:
+        the engine's) shards the enumeration over a process pool;
+        sharding kicks in only for full enumerations (``limit=None``).
+        With a trace sink attached, worker events are shipped back in
+        the result envelopes and re-emitted on the parent's sink tagged
+        ``worker=<i>``, so ``--trace`` composes with ``--workers N``.
         """
-        deployment = {
-            component: tuple(ms)
-            for component, ms in dict(active_mitigations or {}).items()
-        }
-        restrict = (
-            list(restrict_faults) if restrict_faults is not None else None
-        )
+        deployment, restrict = self._query(active_mitigations, restrict_faults)
         if workers is None:
             workers = self._workers
         with self._tracer.span("epa.analyze", max_faults=max_faults) as span:
-            if (
-                workers
-                and workers > 1
-                and limit is None
-                and self._parallel_mode in ("auto", "cube")
-            ):
-                report = self._analyze_parallel(
-                    deployment, max_faults, restrict, with_paths, workers
+            if limit is not None:
+                outcomes = list(
+                    self.analyze_stream(
+                        deployment, max_faults, restrict, limit=limit
+                    )
                 )
-            elif self._incremental:
-                report = self._analyze_incremental(
-                    deployment, max_faults, restrict, with_paths, limit
+            elif self._sharded(workers):
+                outcomes = self._shard(
+                    deployment, max_faults, restrict, workers, _Outcomes, "models"
                 )
             else:
-                report = self._analyze_fresh(
-                    deployment, max_faults, restrict, with_paths, limit
-                )
-            outcomes = report.outcomes
+                outcomes = _Outcomes()
+                self._enumerate(max_faults, deployment, restrict, (), outcomes)
+            if with_paths:
+                outcomes = [self._with_paths(outcome) for outcome in outcomes]
             span.update(
                 scenarios=len(outcomes),
                 violating=sum(1 for o in outcomes if o.violated),
@@ -485,191 +507,8 @@ class EpaEngine:
         # fold — record it on every analyze, not only on aggregate()
         record_peak_rss()
         self._progress_finish()
-        return report
-
-    def _analyze_incremental(
-        self,
-        deployment: Mapping[str, Sequence[str]],
-        max_faults: int,
-        restrict: Optional[Sequence[FaultRef]],
-        with_paths: bool,
-        limit: Optional[int],
-    ) -> EpaReport:
-        control = self._incremental_control(max_faults)
-        self._assign_externals(control, deployment, restrict)
-        outcomes = [
-            self._extract(model, with_paths)
-            for model in control.solve(limit=limit)
-        ]
-        self._note_analysis(scenarios=len(outcomes))
-        self._progress_scenarios(len(outcomes))
         return self._report(outcomes, deployment)
 
-    def _analyze_fresh(
-        self,
-        deployment: Mapping[str, Sequence[str]],
-        max_faults: int,
-        restrict: Optional[Sequence[FaultRef]],
-        with_paths: bool,
-        limit: Optional[int],
-        cube: Sequence[Tuple[Tuple[str, str], bool]] = (),
-    ) -> EpaReport:
-        control = self._base_control(deployment)
-        control.add(scenario_choice(max_faults))
-        if restrict is not None:
-            for fault in restrict:
-                control.add_fact("allowed_fault", fault.component, fault.fault)
-            control.add(
-                ":- active_fault(C, F), not allowed_fault(C, F)."
-            )
-        for (component, fault), value in cube:
-            if value:
-                control.add(":- not active_fault(%s, %s)." % (component, fault))
-            else:
-                control.add(":- active_fault(%s, %s)." % (component, fault))
-        # the only choice rule is the fault activation, so the choice
-        # atoms functionally determine every model: project the
-        # enumeration's blocking clauses onto them
-        project = [
-            atom("active_fault", ref.component, ref.fault)
-            for ref in self._potential_faults(deployment)
-        ]
-        outcomes = [
-            self._extract(model, with_paths)
-            for model in control.solve(limit=limit, project=project)
-        ]
-        self._fold_statistics(control, scenarios=len(outcomes))
-        self._progress_scenarios(len(outcomes))
-        return self._report(outcomes, deployment)
-
-    def _analyze_parallel(
-        self,
-        deployment: Mapping[str, Sequence[str]],
-        max_faults: int,
-        restrict: Optional[Sequence[FaultRef]],
-        with_paths: bool,
-        workers: int,
-    ) -> EpaReport:
-        """Shard the enumeration over occurrence-ordered cubes in a
-        work-stealing pool.
-
-        Ground once, ship compact: the parent grounds the program,
-        builds one solver template plus the predicate probe tables, and
-        publishes everything in a module-level context that fork-started
-        workers inherit copy-on-write (spawn-started workers rebuild it
-        from the serialized program blob in the payload).  Workers run
-        the propagation-driven projected enumeration per cube and ship
-        back fully extracted :class:`ScenarioOutcome` lists.  The cubes
-        partition the fault-choice space, so every scenario is
-        enumerated by exactly one worker and the merged (canonically
-        sorted) report equals the sequential one; propagation paths are
-        attached by the parent afterwards, since they need the topology
-        graph, not the solver.
-        """
-        control = self._base_control(deployment)
-        control.add(scenario_choice(max_faults))
-        if restrict is not None:
-            for fault in restrict:
-                control.add_fact("allowed_fault", fault.component, fault.fault)
-            control.add(":- active_fault(C, F), not allowed_fault(C, F).")
-        ground = control.ground()
-        choices = self._potential_faults(deployment)
-        project = [
-            atom("active_fault", ref.component, ref.fault) for ref in choices
-        ]
-        cube_atoms = project
-        if restrict is not None:
-            allowed = {(f.component, f.fault) for f in restrict}
-            cube_atoms = [
-                atom("active_fault", ref.component, ref.fault)
-                for ref in choices
-                if (ref.component, ref.fault) in allowed
-            ]
-        cubes = generate_cubes(
-            ground, cube_atoms, workers, oversubscribe=self._cube_factor
-        )
-        requirement_names = {
-            _requirement_symbol(r.name): r.name for r in self.requirements
-        }
-        digest, blob = _publish_cube_context(
-            ground, project, requirement_names
-        )
-        pool = WorkStealingPool(workers)
-        traced = self._trace is not NULL_SINK
-        forked = pool.start_method == "fork"
-        payloads = [
-            {
-                "digest": digest,
-                # fork workers inherit the published context; only spawn
-                # workers need the blob to rebuild it
-                "blob": None if forked else blob,
-                "project": project,
-                "requirement_names": requirement_names,
-                "cube": cube,
-                "index": index,
-                "traced": traced,
-                "share_clauses": self._share_clauses,
-            }
-            for index, cube in enumerate(cubes)
-        ]
-        collect_glue, decorate = self._glue_channel()
-
-        def on_glue(_position: int, value) -> None:
-            if value and value[0] == "glue":
-                collect_glue(value[1])
-
-        if self._progress is not None:
-            self._progress.set_total_cubes(len(cubes))
-
-        def on_shard(_position: int, envelope) -> None:
-            self._progress_cube_done()
-            self._progress_scenarios(len(envelope[0]))
-
-        try:
-            shards = pool.map(
-                _cube_worker,
-                payloads,
-                on_partial=on_glue if collect_glue is not None else None,
-                on_result=on_shard if self._progress is not None else None,
-                decorate=decorate,
-            )
-        except ParallelError as error:
-            raise EpaError(
-                "parallel EPA analysis failed: %s" % error
-            ) from error
-        registry = get_registry()
-        lanes = pool.last_assignments
-        outcomes = []
-        for index, (shard, shard_stats, events, metrics) in enumerate(shards):
-            outcomes.extend(shard)
-            self._stats.merge(shard_stats)
-            # replay the shard's trace stream on the parent sink, tagged
-            # with the worker lane it actually ran in
-            for name, _seconds, event_payload in events:
-                payload = dict(event_payload)
-                payload.setdefault("worker", lanes.get(index, index))
-                self._trace.emit(name, **payload)
-            if metrics:
-                registry.merge(metrics)
-        if with_paths:
-            outcomes = [
-                replace(
-                    outcome,
-                    paths=self._paths(
-                        set(outcome.active_faults), set(outcome.violated)
-                    ),
-                )
-                for outcome in outcomes
-            ]
-        self._stats.merge(control.statistics)
-        self._stats.incr("epa.parallel.shards", len(cubes))
-        self._stats.set("epa.parallel.workers", workers)
-        self._note_analysis(scenarios=len(outcomes))
-        return self._report(outcomes, deployment)
-
-    # ------------------------------------------------------------------
-    # streaming analysis (bounded memory; see docs/streaming.md)
-    # ------------------------------------------------------------------
     def analyze_stream(
         self,
         active_mitigations: Mapping[str, Sequence[str]] = (),
@@ -681,55 +520,31 @@ class EpaEngine:
         """Lazily yield scenario outcomes as models are found.
 
         The streaming counterpart of :meth:`analyze`: same scenario
-        space, same extraction, but models are folded into
-        :class:`ScenarioOutcome` one at a time and never collected —
-        closing the iterator early stops the search.  Memory stays
-        bounded by one model, regardless of how many scenarios the
-        sweep visits; callers who want totals without the list feed
-        the outcomes to a
-        :class:`~repro.epa.aggregate.ScenarioAggregate` (or call
+        space, same outcomes, but drawn one model at a time from the
+        kernel's CDCL enumerator on the persistent control and never
+        collected — closing the iterator early stops the search (and
+        retracts its blocking clauses).  Memory stays bounded by one
+        model, regardless of how many scenarios the sweep visits;
+        callers who want totals without the list feed the outcomes to
+        a :class:`~repro.epa.aggregate.ScenarioAggregate` (or call
         :meth:`aggregate`, which also shards and checkpoints).
         """
-        deployment = {
-            component: tuple(ms)
-            for component, ms in dict(active_mitigations or {}).items()
-        }
-        restrict = (
-            list(restrict_faults) if restrict_faults is not None else None
-        )
+        deployment, restrict = self._query(active_mitigations, restrict_faults)
+        control = self._incremental_control(max_faults)
+        self._assign_externals(control, deployment, restrict)
+        project = _fault_atoms(self._potential_faults(deployment))
         count = 0
-        if self._incremental:
-            control = self._incremental_control(max_faults)
-            self._assign_externals(control, deployment, restrict)
-            models = control.solve_iter(limit=limit)
-        else:
-            control = self._base_control(deployment)
-            control.add(scenario_choice(max_faults))
-            if restrict is not None:
-                for fault in restrict:
-                    control.add_fact(
-                        "allowed_fault", fault.component, fault.fault
-                    )
-                control.add(
-                    ":- active_fault(C, F), not allowed_fault(C, F)."
-                )
-            project = [
-                atom("active_fault", ref.component, ref.fault)
-                for ref in self._potential_faults(deployment)
-            ]
-            models = control.solve_iter(limit=limit, project=project)
-        try:
-            for model in models:
-                count += 1
-                self._progress_scenarios(1)
-                yield self._extract(model, with_paths)
-        finally:
-            models.close()
-            if self._incremental:
+        with control.solver_call() as (solver, assumptions):
+            models = _reference_models(solver, assumptions, project, limit)
+            try:
+                for model in models:
+                    count += 1
+                    self._progress_scenarios(1)
+                    yield self._extract(model, with_paths)
+            finally:
+                models.close()
                 self._note_analysis(scenarios=count)
-            else:
-                self._fold_statistics(control, scenarios=count)
-            self._progress_finish()
+                self._progress_finish()
 
     def aggregate(
         self,
@@ -769,37 +584,26 @@ class EpaEngine:
                 "stream_mode must be 'aggregate' or 'models', not %r"
                 % (stream_mode,)
             )
-        deployment = {
-            component: tuple(ms)
-            for component, ms in dict(active_mitigations or {}).items()
-        }
-        restrict = (
-            list(restrict_faults) if restrict_faults is not None else None
-        )
+        deployment, restrict = self._query(active_mitigations, restrict_faults)
         if workers is None:
             workers = self._workers or 1
-        sharded = (
-            workers > 1 and self._parallel_mode in ("auto", "cube")
-        ) or checkpoint is not None
+        names, magnitudes = self._aggregate_names()
+
+        def part() -> ScenarioAggregate:
+            return ScenarioAggregate(names, magnitudes, max_minimal_sets)
+
         with self._tracer.span(
             "epa.aggregate", max_faults=max_faults, workers=workers
         ) as span:
-            if sharded:
-                result = self._aggregate_cubes(
-                    deployment,
-                    max_faults,
-                    restrict,
-                    workers,
-                    stream_mode,
-                    checkpoint,
-                    checkpoint_every,
-                    chunk_size,
+            if self._sharded(workers) or checkpoint is not None:
+                result = self._shard(
+                    deployment, max_faults, restrict, workers, part,
+                    stream_mode, chunk_size, checkpoint, checkpoint_every,
                     max_minimal_sets,
                 )
             else:
-                result = self._aggregate_sequential(
-                    deployment, max_faults, restrict, max_minimal_sets
-                )
+                result = part()
+                self._enumerate(max_faults, deployment, restrict, (), result)
             span.update(
                 scenarios=result.scenarios, violating=result.violating
             )
@@ -812,122 +616,101 @@ class EpaEngine:
         magnitudes = {r.name: r.magnitude for r in self.requirements}
         return names, magnitudes
 
-    def _aggregate_sequential(
+    def analyze_scenario(
         self,
-        deployment: Mapping[str, Sequence[str]],
-        max_faults: int,
-        restrict: Optional[Sequence[FaultRef]],
-        max_minimal_sets: int,
-    ) -> ScenarioAggregate:
-        """One-process streaming sweep on the probe fast path."""
-        control = self._base_control(deployment)
-        control.add(scenario_choice(max_faults))
-        if restrict is not None:
-            for fault in restrict:
-                control.add_fact("allowed_fault", fault.component, fault.fault)
-            control.add(":- active_fault(C, F), not allowed_fault(C, F).")
-        ground = control.ground()
-        project = [
-            atom("active_fault", ref.component, ref.fault)
+        faults: Iterable[FaultRef],
+        active_mitigations: Mapping[str, Sequence[str]] = (),
+        with_paths: bool = True,
+    ) -> ScenarioOutcome:
+        """Evaluate one specific fault combination.
+
+        Faults suppressed by an active mitigation simply stay inactive,
+        mirroring the paper's workflow where activating a mitigation
+        "allows excluding this specific scenario from the evaluation".
+        Every potential fault is pinned, so the kernel's search is a
+        single leaf.
+        """
+        deployment, _ = self._query(active_mitigations)
+        requested = {(f.component, f.fault) for f in faults}
+        cube = [
+            (
+                atom("active_fault", ref.component, ref.fault),
+                (ref.component, ref.fault) in requested,
+            )
             for ref in self._potential_faults(deployment)
         ]
-        requirement_names = {
-            _requirement_symbol(r.name): r.name for r in self.requirements
-        }
-        names, magnitudes = self._aggregate_names()
-        solver = StableModelSolver(ground)
-        probes = _build_probes(solver, ground.possible_atoms, requirement_names)
-        result = ScenarioAggregate(names, magnitudes, max_minimal_sets)
+        outcomes = _Outcomes()
+        self._enumerate(0, deployment, None, cube, outcomes)
+        if not outcomes:
+            raise EpaError("scenario program unexpectedly unsatisfiable")
+        return self._with_paths(outcomes[0]) if with_paths else outcomes[0]
 
-        def on_model(assignment: Sequence[int]) -> None:
-            result.add(_probe_extract(assignment, probes))
-            self._progress_scenarios(1)
-
-        try:
-            solver.project_models(project, on_model)
-        except ProjectionIncomplete:
-            # discard the partial fold (progress rolls back with it)
-            # and redo on the reference path
-            self._progress_scenarios(-result.scenarios)
-            result = ScenarioAggregate(names, magnitudes, max_minimal_sets)
-            for model in control.solve_iter(project=project):
-                result.add(_model_extract(model, requirement_names))
-                self._progress_scenarios(1)
-        self._fold_statistics(control, scenarios=result.scenarios)
-        return result
-
-    def _aggregate_cubes(
+    # ------------------------------------------------------------------
+    # sharded sweeps (see docs/parallelism.md, docs/streaming.md)
+    # ------------------------------------------------------------------
+    def _shard(
         self,
         deployment: Mapping[str, Sequence[str]],
         max_faults: int,
         restrict: Optional[Sequence[FaultRef]],
         workers: int,
+        part: Callable[[], object],
         stream_mode: str,
-        checkpoint: Optional[str],
-        checkpoint_every: int,
-        chunk_size: int,
-        max_minimal_sets: int,
-    ) -> ScenarioAggregate:
-        """Cube-sharded streaming sweep with optional checkpoints.
+        chunk_size: int = 512,
+        checkpoint: Optional[str] = None,
+        checkpoint_every: int = 8,
+        max_minimal_sets: int = DEFAULT_MAX_MINIMAL_SETS,
+    ):
+        """Run the kernel cube by cube in a work-stealing pool.
 
-        The cube layout matches :meth:`_analyze_parallel` exactly for
-        ``workers > 1`` and still splits the space for a single worker
-        (a sequential sweep needs cube granularity to checkpoint).
-        Workers ship partials on the pool's result channel; the parent
-        keeps an in-progress buffer per cube, promotes it to a
-        completed part when the cube's envelope arrives, and assembles
-        snapshots by merging completed parts in cube order on top of
-        the resumed aggregate — crash-retried cubes discard their
-        buffered partials, so nothing is ever double counted.
+        Publishes the persistent control's ground program and cuts the
+        space into occurrence-ordered linear cubes (for one worker too:
+        a checkpoint needs cube granularity); :func:`_cube_worker` runs
+        each cube under the external assignment and ships partials.
+        Per cube the parent buffers them in a ``part()`` (an outcome
+        list or a :class:`ScenarioAggregate`), promotes the buffer when
+        the cube's envelope arrives — a crash-retried cube's buffer is
+        dropped — and merges completed parts in cube order on top of
+        the resumed checkpoint.  The cubes partition the space, so the
+        result equals the sequential one.
         """
-        control = self._base_control(deployment)
-        control.add(scenario_choice(max_faults))
-        if restrict is not None:
-            for fault in restrict:
-                control.add_fact("allowed_fault", fault.component, fault.fault)
-            control.add(":- active_fault(C, F), not allowed_fault(C, F).")
+        control = self._incremental_control(max_faults)
+        self._assign_externals(control, deployment, restrict)
         ground = control.ground()
         choices = self._potential_faults(deployment)
-        project = [
-            atom("active_fault", ref.component, ref.fault) for ref in choices
-        ]
-        cube_atoms = project
+        split = choices
         if restrict is not None:
             allowed = {(f.component, f.fault) for f in restrict}
-            cube_atoms = [
-                atom("active_fault", ref.component, ref.fault)
-                for ref in choices
-                if (ref.component, ref.fault) in allowed
+            split = [
+                ref for ref in choices if (ref.component, ref.fault) in allowed
             ]
-        factor = resolve_cube_factor(self._cube_factor)
-        ordered = order_by_occurrence(ground, cube_atoms)
-        cubes = linear_cubes(ordered, max(2, max(1, workers) * factor))
-        requirement_names = {
-            _requirement_symbol(r.name): r.name for r in self.requirements
-        }
-        names, magnitudes = self._aggregate_names()
-        digest, blob = _publish_cube_context(ground, project, requirement_names)
-        config_digest = _sweep_digest(
-            digest, cubes, max_faults, max_minimal_sets, deployment, restrict
+        cubes = linear_cubes(
+            order_by_occurrence(ground, _fault_atoms(split)),
+            max(2, workers * resolve_cube_factor(self._cube_factor)),
         )
+        digest, blob = _publish_cube_context(ground, self._requirement_names)
 
-        resumed = ScenarioAggregate(names, magnitudes, max_minimal_sets)
+        resumed = part()
         completed: Set[int] = set()
-        if checkpoint is not None and os.path.exists(checkpoint):
-            with self._tracer.span(
-                "epa.checkpoint", path=checkpoint, mode="read"
-            ):
-                state = read_checkpoint(checkpoint)
-            if state.digest != config_digest:
-                raise EpaError(
-                    "checkpoint %s was written by a different sweep "
-                    "configuration (model, deployment, cube layout, "
-                    "max_faults and cube factor must match to resume)"
-                    % checkpoint
-                )
-            completed = set(state.completed)
-            resumed = ScenarioAggregate.loads(state.aggregate)
-            self._stats.incr("epa.aggregate.resumed_cubes", len(completed))
+        if checkpoint is not None:
+            config_digest = _sweep_digest(
+                digest, cubes, max_faults, max_minimal_sets, deployment, restrict
+            )
+            if os.path.exists(checkpoint):
+                with self._tracer.span(
+                    "epa.checkpoint", path=checkpoint, mode="read"
+                ):
+                    state = read_checkpoint(checkpoint)
+                if state.digest != config_digest:
+                    raise EpaError(
+                        "checkpoint %s was written by a different sweep "
+                        "configuration (model, deployment, cube layout, "
+                        "max_faults and cube factor must match to resume)"
+                        % checkpoint
+                    )
+                completed = set(state.completed)
+                resumed = ScenarioAggregate.loads(state.aggregate)
+                self._stats.incr("epa.aggregate.resumed_cubes", len(completed))
         pending = [
             index for index in range(len(cubes)) if index not in completed
         ]
@@ -937,18 +720,30 @@ class EpaEngine:
                 self._progress.preseed_scenarios(resumed.scenarios)
 
         pool = WorkStealingPool(workers, on_stall=self._on_stall)
-        traced = self._trace is not NULL_SINK
-        forked = pool.start_method == "fork"
+        names, magnitudes = self._aggregate_names()
+        externals = [
+            (target, bool(value))
+            for target, value in control.externals.items()
+            if value is not None
+        ]
         subprocess_mode = workers > 1 and len(pending) > 1
+        # fork workers inherit the published context; only spawn
+        # workers need the blob to rebuild it
+        shipped_blob = (
+            blob
+            if subprocess_mode and pool.start_method != "fork"
+            else None
+        )
         payloads = [
             {
                 "digest": digest,
-                "blob": None if (forked or not subprocess_mode) else blob,
-                "project": project,
-                "requirement_names": requirement_names,
+                "blob": shipped_blob,
+                "requirement_names": self._requirement_names,
+                "project": _fault_atoms(choices),
+                "externals": externals,
                 "cube": cubes[cube_id],
                 "index": cube_id,
-                "traced": traced,
+                "traced": self._trace is not NULL_SINK,
                 "stream_mode": stream_mode,
                 "chunk": max(1, chunk_size),
                 "aggregate_requirements": names,
@@ -961,12 +756,13 @@ class EpaEngine:
         ]
         collect_glue, decorate = self._glue_channel()
 
-        parts: Dict[int, ScenarioAggregate] = {}
-        buffers: Dict[int, ScenarioAggregate] = {}
+        parts: Dict[int, object] = {}
+        buffers: Dict[int, object] = {}
         finished = [0]
 
-        def assemble() -> ScenarioAggregate:
-            total = resumed.copy()
+        def assemble():
+            total = part()
+            total.merge(resumed)
             for cube_id in sorted(parts):
                 total.merge(parts[cube_id])
             return total
@@ -989,34 +785,27 @@ class EpaEngine:
             cube_id = pending[position]
             kind = value[0]
             if kind == "reset":
-                # the worker fell back to the reference enumeration and
-                # will re-stream the whole cube
+                # the worker fell back to the CDCL enumeration and will
+                # re-stream the whole cube
                 held = buffers.pop(cube_id, None)
                 if held is not None:
                     self._progress_scenarios(-held.scenarios)
             elif kind == "glue":
                 # shared learnt clauses, not cube results: fold into the
                 # warm-start pool for cubes still waiting to dispatch
-                if collect_glue is not None:
-                    collect_glue(value[1])
-            elif kind == "agg":
-                part = ScenarioAggregate.loads(value[1])
+                collect_glue(value[1])
+            else:
                 held = buffers.get(cube_id)
                 if held is None:
-                    buffers[cube_id] = part
-                else:
-                    held.merge(part)
-                self._progress_scenarios(part.scenarios)
-            else:  # "outcomes"
-                held = buffers.get(cube_id)
-                if held is None:
-                    held = ScenarioAggregate(
-                        names, magnitudes, max_minimal_sets
-                    )
-                    buffers[cube_id] = held
-                for outcome in value[1]:
-                    held.add(outcome)
-                self._progress_scenarios(len(value[1]))
+                    held = buffers[cube_id] = part()
+                if kind == "agg":
+                    chunk = ScenarioAggregate.loads(value[1])
+                    held.merge(chunk)
+                    self._progress_scenarios(chunk.scenarios)
+                else:  # "outcomes"
+                    for outcome in value[1]:
+                        held.add(outcome)
+                    self._progress_scenarios(len(value[1]))
 
         def on_retry(position: int) -> None:
             held = buffers.pop(pending[position], None)
@@ -1025,10 +814,8 @@ class EpaEngine:
 
         def on_result(position: int, _envelope: object) -> None:
             cube_id = pending[position]
-            parts[cube_id] = buffers.pop(
-                cube_id,
-                ScenarioAggregate(names, magnitudes, max_minimal_sets),
-            )
+            held = buffers.pop(cube_id, None)
+            parts[cube_id] = held if held is not None else part()
             completed.add(cube_id)
             finished[0] += 1
             self._progress_cube_done()
@@ -1037,7 +824,7 @@ class EpaEngine:
 
         try:
             envelopes = pool.map(
-                _stream_cube_worker,
+                _cube_worker,
                 payloads,
                 on_partial=on_partial,
                 on_retry=on_retry,
@@ -1045,15 +832,15 @@ class EpaEngine:
                 decorate=decorate,
             )
         except ParallelError as error:
-            raise EpaError(
-                "streaming EPA aggregation failed: %s" % error
-            ) from error
+            raise EpaError("sharded EPA sweep failed: %s" % error) from error
         registry = get_registry()
         lanes = pool.last_assignments
         for position, (_none, shard_stats, events, metrics) in enumerate(
             envelopes
         ):
             self._stats.merge(shard_stats)
+            # replay the shard's trace stream on the parent sink, tagged
+            # with the worker lane it actually ran in
             for name, _seconds, event_payload in events:
                 payload = dict(event_payload)
                 payload.setdefault("worker", lanes.get(position, position))
@@ -1062,65 +849,15 @@ class EpaEngine:
                 registry.merge(metrics)
         result = assemble()
         snapshot()
-        self._stats.merge(control.statistics)
-        self._stats.incr("epa.aggregate.cubes", len(pending))
+        self._stats.incr(
+            "epa.aggregate.cubes"
+            if isinstance(result, ScenarioAggregate)
+            else "epa.parallel.shards",
+            len(pending),
+        )
         self._stats.set("epa.parallel.workers", workers)
         self._note_analysis(scenarios=result.scenarios - resumed.scenarios)
         return result
-
-    def analyze_scenario(
-        self,
-        faults: Iterable[FaultRef],
-        active_mitigations: Mapping[str, Sequence[str]] = (),
-        with_paths: bool = True,
-    ) -> ScenarioOutcome:
-        """Evaluate one specific fault combination.
-
-        Faults suppressed by an active mitigation simply stay inactive,
-        mirroring the paper's workflow where activating a mitigation
-        "allows excluding this specific scenario from the evaluation".
-        """
-        deployment = {
-            component: tuple(ms)
-            for component, ms in dict(active_mitigations or {}).items()
-        }
-        if self._incremental:
-            control = self._incremental_control(0)
-            self._assign_externals(control, deployment, None)
-            requested = {(f.component, f.fault) for f in faults}
-            assumptions = [
-                (
-                    atom("active_fault", ref.component, ref.fault),
-                    (ref.component, ref.fault) in requested,
-                )
-                for ref in self._potential_faults(deployment)
-            ]
-            models = control.solve(limit=1, assumptions=assumptions)
-            self._note_analysis(scenarios=len(models))
-        else:
-            control = self._base_control(deployment)
-            for fault in faults:
-                control.add(
-                    "active_fault(%s, %s) :- potential_fault(%s, %s)."
-                    % (fault.component, fault.fault, fault.component, fault.fault)
-                )
-            # a fully pinned scenario has exactly one stable model, so
-            # portfolio racing can only change latency, never the answer
-            race_workers = (
-                self._workers
-                if self._workers
-                and self._workers > 1
-                and self._parallel_mode in ("auto", "portfolio")
-                else None
-            )
-            first = control.first_model(
-                workers=race_workers, share_clauses=self._share_clauses
-            )
-            models = [first] if first is not None else []
-            self._fold_statistics(control, scenarios=len(models))
-        if not models:
-            raise EpaError("scenario program unexpectedly unsatisfiable")
-        return self._extract(models[0], with_paths)
 
     # ------------------------------------------------------------------
     # provenance / explanation
@@ -1167,11 +904,7 @@ class EpaEngine:
         """
         control = self._core_control(max_faults)
         universe = self._relevant_mitigation_pairs()
-        active = {
-            (component, _mitigation_symbol(mitigation))
-            for component, mitigations in dict(active_mitigations or {}).items()
-            for mitigation in mitigations
-        }
+        active = _deployed(active_mitigations)
 
         def is_blocking(pairs: Iterable[Tuple[str, str]]) -> bool:
             # assign *every* mitigation external each trial —
@@ -1245,8 +978,8 @@ class EpaEngine:
         )
 
     def _note_analysis(self, scenarios: int) -> None:
-        """Count one incremental/parallel analysis (solver statistics
-        live on the persistent controls / worker shards)."""
+        """Count one scenario query (solver statistics live on the
+        persistent controls / worker shards)."""
         self._stats.incr("epa.analyze_calls")
         self._stats.incr("epa.scenarios", scenarios)
 
@@ -1278,65 +1011,37 @@ class EpaEngine:
         )
         default_on_stall(worker, task_index, silent_s, reason)
 
-    def _fold_statistics(self, control: Control, scenarios: int) -> None:
-        """Merge one solve's stats into the engine-level aggregate."""
-        self._stats.merge(control.statistics)
-        self._stats.incr("epa.analyze_calls")
-        self._stats.incr("epa.scenarios", scenarios)
-
     # ------------------------------------------------------------------
     # extraction
     # ------------------------------------------------------------------
     def _extract(self, model: Model, with_paths: bool) -> ScenarioOutcome:
-        active: Set[FaultRef] = set()
-        violated: Set[str] = set()
-        erroneous: Dict[str, Set[str]] = {}
-        detected: Set[str] = set()
-        severity = 0
-        requirement_names = {
-            _requirement_symbol(r.name): r.name for r in self.requirements
-        }
-        for model_atom in model.atoms:
-            if model_atom.predicate == "active_fault":
-                component, fault = model_atom.arguments
-                active.add(FaultRef(str(component), str(fault)))
-            elif model_atom.predicate == "violated":
-                name = str(model_atom.arguments[0])
-                violated.add(requirement_names.get(name, name))
-            elif model_atom.predicate == "err":
-                component, kind = model_atom.arguments
-                erroneous.setdefault(str(component), set()).add(str(kind))
-            elif model_atom.predicate == "detected":
-                detected.add(str(model_atom.arguments[0]))
-            elif model_atom.predicate == "scenario_severity":
-                value = model_atom.arguments[0]
-                if isinstance(value, Number):
-                    severity = value.value
-        paths: Dict[str, Tuple[PropagationStep, ...]] = {}
-        if with_paths:
-            paths = self._paths(active, violated)
-        return ScenarioOutcome(
-            frozenset(active),
-            frozenset(violated),
-            {c: frozenset(kinds) for c, kinds in erroneous.items()},
-            frozenset(detected),
-            paths,
-            severity,
+        """The outcome of one :class:`Model`, with paths on request."""
+        outcome = _model_extract(model, self._requirement_names)
+        return self._with_paths(outcome) if with_paths else outcome
+
+    def _with_paths(self, outcome: ScenarioOutcome) -> ScenarioOutcome:
+        return replace(
+            outcome, paths=self._paths(outcome.active_faults, outcome.violated)
         )
 
     def _paths(
-        self, active: Set[FaultRef], violated: Set[str]
+        self, active: Iterable[FaultRef], violated: Iterable[str]
     ) -> Dict[str, Tuple[PropagationStep, ...]]:
+        """Shortest propagation path to each violated requirement's
+        focus.  Faults are tried in sorted order, so among equally short
+        paths the one from the smallest fault wins — independent of set
+        iteration (hash) order."""
         paths: Dict[str, Tuple[PropagationStep, ...]] = {}
         focus_by_requirement = {
             r.name: r.focus for r in self.requirements if r.focus
         }
-        for requirement in violated:
+        faults = sorted(active, key=lambda ref: (ref.component, ref.fault))
+        for requirement in sorted(violated):
             focus = focus_by_requirement.get(requirement)
             if not focus:
                 continue
             best: Optional[List[str]] = None
-            for fault in active:
+            for fault in faults:
                 try:
                     candidate = nx.shortest_path(
                         self._graph, fault.component, focus
@@ -1352,154 +1057,215 @@ class EpaEngine:
         return paths
 
 
+def _fault_atoms(faults: Iterable[FaultRef]) -> List[Atom]:
+    """The ``active_fault`` atoms of ``faults`` (projection, cubes)."""
+    return [atom("active_fault", ref.component, ref.fault) for ref in faults]
+
+
+class _Outcomes(list):
+    """An outcome list with the kernel's sink interface (``add`` /
+    ``clear``) and the merge interface of the sharded driver."""
+
+    add = list.append
+    merge = list.extend
+
+    @property
+    def scenarios(self) -> int:
+        return len(self)
+
+
+class _Tracked:
+    """A sink wrapper feeding the progress tracker; ``clear`` takes
+    back what the cleared attempt reported."""
+
+    def __init__(self, sink, progress: ProgressTracker):
+        self.sink = sink
+        self.progress = progress
+        self.count = 0
+
+    def add(self, outcome: ScenarioOutcome) -> None:
+        self.sink.add(outcome)
+        self.count += 1
+        self.progress.add_scenarios(1)
+
+    def clear(self) -> None:
+        self.sink.clear()
+        self.progress.add_scenarios(-self.count)
+        self.count = 0
+
+
 #: cube-worker context published by the parent before forking:
-#: ``digest -> (solver template, probe tables, project atoms)``
-_CUBE_CONTEXTS: Dict[str, Tuple[StableModelSolver, Dict[str, list], List[Atom]]] = {}
+#: ``digest -> (solver template, probe tables)``
+_CUBE_CONTEXTS: Dict[str, Tuple[StableModelSolver, Dict[str, object]]] = {}
+
+
+#: outcome fields, in the slot order of :func:`_outcome_entry`
+_FAULT, _VIOLATED, _ERR, _DETECTED, _SEVERITY = range(5)
+
+
+def _outcome_entry(
+    ground_atom: Atom, requirement_names: Mapping[str, str]
+) -> Optional[Tuple[int, object]]:
+    """``(slot, entry)`` when ``ground_atom`` shapes an outcome: an
+    ``active_fault`` ref, a ``violated`` requirement name, an ``err``
+    (component, kind) pair, a ``detected`` component or a
+    ``scenario_severity`` rank; ``None`` for every other atom."""
+    predicate = ground_atom.predicate
+    arguments = ground_atom.arguments
+    if predicate == "active_fault":
+        return _FAULT, FaultRef(str(arguments[0]), str(arguments[1]))
+    if predicate == "violated":
+        name = str(arguments[0])
+        return _VIOLATED, requirement_names.get(name, name)
+    if predicate == "err":
+        return _ERR, (str(arguments[0]), str(arguments[1]))
+    if predicate == "detected":
+        return _DETECTED, str(arguments[0])
+    if predicate == "scenario_severity" and isinstance(arguments[0], Number):
+        return _SEVERITY, arguments[0].value
+    return None
+
+
+def _outcome(found: Sequence[List[object]]) -> ScenarioOutcome:
+    """The outcome of one answer set's entries, listed per slot."""
+    faults, violated, errs, detected, severities = found
+    erroneous: Dict[str, Set[str]] = {}
+    for component, kind in errs:
+        erroneous.setdefault(component, set()).add(kind)
+    return ScenarioOutcome(
+        frozenset(faults),
+        frozenset(violated),
+        {c: frozenset(kinds) for c, kinds in erroneous.items()},
+        frozenset(detected),
+        {},
+        max(severities, default=0),
+    )
 
 
 def _build_probes(
     solver: StableModelSolver,
     possible_atoms: Sequence[Atom],
     requirement_names: Mapping[str, str],
-) -> Dict[str, list]:
-    """SAT-variable probe tables for outcome extraction.
+) -> Dict[str, object]:
+    """The probe table for outcome extraction.
 
-    Maps each outcome-relevant ground atom (``active_fault``,
-    ``violated``, ``err``, ``detected``, ``scenario_severity``) to its
-    solver variable, so a worker can read a whole
-    :class:`ScenarioOutcome` straight off the propagation-complete
-    assignment array without materializing a :class:`Model`.
+    Lists ``(variable, slot, entry)`` for every outcome-shaping ground
+    atom, so the kernel reads a whole :class:`ScenarioOutcome` straight
+    off the propagation-complete assignment array without
+    materializing a :class:`Model`.  The requirement-name map rides
+    along under ``names`` for the CDCL fallback's
+    :func:`_model_extract`.
     """
-    probes: Dict[str, list] = {
-        "fault": [],
-        "violated": [],
-        "err": [],
-        "detected": [],
-        "severity": [],
-    }
+    table = []
     for ground_atom in possible_atoms:
         variable = solver.atom_var(ground_atom)
-        if variable is None:
-            continue
-        predicate = ground_atom.predicate
-        if predicate == "active_fault":
-            component, fault = ground_atom.arguments
-            probes["fault"].append(
-                (variable, FaultRef(str(component), str(fault)))
-            )
-        elif predicate == "violated":
-            name = str(ground_atom.arguments[0])
-            probes["violated"].append(
-                (variable, requirement_names.get(name, name))
-            )
-        elif predicate == "err":
-            component, kind = ground_atom.arguments
-            probes["err"].append((variable, str(component), str(kind)))
-        elif predicate == "detected":
-            probes["detected"].append(
-                (variable, str(ground_atom.arguments[0]))
-            )
-        elif predicate == "scenario_severity":
-            value = ground_atom.arguments[0]
-            if isinstance(value, Number):
-                probes["severity"].append((variable, value.value))
-    return probes
+        entry = _outcome_entry(ground_atom, requirement_names)
+        if variable is not None and entry is not None:
+            table.append((variable,) + entry)
+    return {"table": table, "names": dict(requirement_names)}
 
 
 def _publish_cube_context(
-    ground, project: List[Atom], requirement_names: Mapping[str, str]
+    ground, requirement_names: Mapping[str, str]
 ) -> Tuple[str, bytes]:
-    """Build and publish the shared worker context for one analysis.
+    """Publish the shared worker context for one sharded sweep.
 
     Serializes the ground program (priming the
     :mod:`repro.asp.serialize` shared cache) and stores a solver
     template plus probe tables under the program digest.  Workers forked
     after this call inherit the whole context copy-on-write — their
     first task starts at a dict lookup instead of a program decode and
-    solver encode.
+    solver encode.  The multi-shot program does not depend on the
+    deployment or restriction, so one engine publishes one context per
+    ``max_faults`` bound.
     """
     digest, blob = publish(ground)
-    if digest not in _CUBE_CONTEXTS:
-        solver = StableModelSolver(ground)
-        probes = _build_probes(
-            solver, ground.possible_atoms, requirement_names
-        )
-        _CUBE_CONTEXTS[digest] = (solver, probes, list(project))
+    _cube_context({"digest": digest, "requirement_names": requirement_names})
     return digest, blob
 
 
 def _probe_extract(
-    assignment: Sequence[int], probes: Mapping[str, list]
+    assignment: Sequence[int], probes: Mapping[str, object]
 ) -> ScenarioOutcome:
     """One outcome read straight off a complete assignment array."""
-    active = set()
-    for variable, ref in probes["fault"]:
+    found: Tuple[List[object], ...] = ([], [], [], [], [])
+    for variable, slot, entry in probes["table"]:
         if assignment[variable] == TRUE:
-            active.add(ref)
-    violated = set()
-    for variable, name in probes["violated"]:
-        if assignment[variable] == TRUE:
-            violated.add(name)
-    erroneous: Dict[str, Set[str]] = {}
-    for variable, component, kind in probes["err"]:
-        if assignment[variable] == TRUE:
-            erroneous.setdefault(component, set()).add(kind)
-    detected = set()
-    for variable, name in probes["detected"]:
-        if assignment[variable] == TRUE:
-            detected.add(name)
-    severity = 0
-    for variable, value in probes["severity"]:
-        if assignment[variable] == TRUE and value > severity:
-            severity = value
-    return ScenarioOutcome(
-        frozenset(active),
-        frozenset(violated),
-        {c: frozenset(kinds) for c, kinds in erroneous.items()},
-        frozenset(detected),
-        {},
-        severity,
-    )
+            found[slot].append(entry)
+    return _outcome(found)
 
 
 def _model_extract(
     model: Model, requirement_names: Mapping[str, str]
 ) -> ScenarioOutcome:
-    """Outcome extraction from a full :class:`Model` (fallback path)."""
-    active = set()
-    violated = set()
-    erroneous: Dict[str, Set[str]] = {}
-    detected = set()
-    severity = 0
+    """Outcome extraction from a full :class:`Model` (CDCL path)."""
+    found: Tuple[List[object], ...] = ([], [], [], [], [])
     for model_atom in model.atoms:
-        if model_atom.predicate == "active_fault":
-            component, fault = model_atom.arguments
-            active.add(FaultRef(str(component), str(fault)))
-        elif model_atom.predicate == "violated":
-            name = str(model_atom.arguments[0])
-            violated.add(requirement_names.get(name, name))
-        elif model_atom.predicate == "err":
-            component, kind = model_atom.arguments
-            erroneous.setdefault(str(component), set()).add(str(kind))
-        elif model_atom.predicate == "detected":
-            detected.add(str(model_atom.arguments[0]))
-        elif model_atom.predicate == "scenario_severity":
-            value = model_atom.arguments[0]
-            if isinstance(value, Number) and value.value > severity:
-                severity = value.value
-    return ScenarioOutcome(
-        frozenset(active),
-        frozenset(violated),
-        {c: frozenset(kinds) for c, kinds in erroneous.items()},
-        frozenset(detected),
-        {},
-        severity,
+        entry = _outcome_entry(model_atom, requirement_names)
+        if entry is not None:
+            found[entry[0]].append(entry[1])
+    return _outcome(found)
+
+
+def _project(
+    solver: StableModelSolver,
+    project: Sequence[Atom],
+    assumptions: Sequence[Tuple[Atom, bool]],
+    probes: Mapping[str, object],
+    sink,
+    reference: Callable[[], StableModelSolver],
+) -> int:
+    """The kernel's search: every stable model under ``assumptions``
+    into ``sink``, one :class:`ScenarioOutcome` each.
+
+    Runs the propagation-driven projected search over ``project`` and
+    reads each outcome off the assignment through ``probes``.  If a
+    leaf stays open to propagation the search raises
+    :class:`ProjectionIncomplete`: ``sink.clear()`` discards the partial
+    output and the same space is enumerated by CDCL search on
+    ``reference()`` — slower, never different.  Returns the number of
+    scenarios the sink kept.
+    """
+    try:
+        return solver.project_models(
+            project,
+            lambda assignment: sink.add(_probe_extract(assignment, probes)),
+            assumptions=assumptions,
+        )
+    except ProjectionIncomplete:
+        sink.clear()
+    names = probes["names"]
+    count = 0
+    models = _reference_models(reference(), assumptions, project)
+    try:
+        for model in models:
+            sink.add(_model_extract(model, names))
+            count += 1
+    finally:
+        models.close()
+    return count
+
+
+def _reference_models(
+    solver: StableModelSolver,
+    assumptions: Sequence[Tuple[Atom, bool]],
+    project: Sequence[Atom],
+    limit: Optional[int] = None,
+) -> Iterator[Model]:
+    """The complete CDCL enumeration of one scenario space.
+
+    The fault-activation atoms determine every model, so the blocking
+    clauses are projected onto them; they are retracted when the
+    iterator closes, which keeps a persistent solver reusable.
+    """
+    return solver.models(
+        limit=limit, assumptions=assumptions, retract=True, project=project
     )
 
 
 def _cube_context(
     payload: Mapping[str, object]
-) -> Tuple[StableModelSolver, Dict[str, list], List[Atom]]:
+) -> Tuple[StableModelSolver, Dict[str, object]]:
     """The worker-side context: inherited via fork, or rebuilt once.
 
     Fork-started workers find the parent's published context in
@@ -1516,24 +1282,21 @@ def _cube_context(
         probes = _build_probes(
             solver, program.possible_atoms, payload["requirement_names"]
         )
-        context = (solver, probes, list(payload["project"]))
-        _CUBE_CONTEXTS[digest] = context
+        context = _CUBE_CONTEXTS[digest] = (solver, probes)
     return context
 
 
 def _fallback_reference(
     payload: Mapping[str, object], glue_out: List[List[int]]
 ) -> StableModelSolver:
-    """A fresh CDCL solver for a cube's fallback enumeration, wired
-    into the glue channel.
+    """A fresh CDCL solver for a cube's fallback enumeration.
 
-    With ``share_clauses`` on, the solver (a) imports the glue clauses
-    earlier cubes exported (injected into the payload at dispatch time
-    by the parent's decorate hook — all formula-implied, so the cube's
-    model set is untouched) and (b) exports its own glue learnts into
-    ``glue_out``, which the worker ships as a ``("glue", ...)`` partial
-    after enumerating.  Clauses derived from enumeration-blocking
-    constraints are tainted inside the SAT core and never exported.
+    With ``share_clauses`` on, it imports the glue clauses earlier
+    cubes exported (injected at dispatch time by the parent's decorate
+    hook; all formula-implied, so the cube's models are untouched) and
+    exports its own into ``glue_out``, shipped as a ``("glue", ...)``
+    partial.  Clauses derived from enumeration-blocking constraints are
+    tainted inside the SAT core and never exported.
     """
     reference = StableModelSolver(shared_program(payload["digest"]))
     if payload.get("share_clauses"):
@@ -1546,88 +1309,135 @@ def _fallback_reference(
     return reference
 
 
-def _economy_counters(solver: StableModelSolver) -> Dict[str, int]:
-    """The learnt-clause-economy counters a cube envelope ships home."""
-    counters = solver.statistics["solvers"]
-    return {
-        key: counters[key]
-        for key in (
-            "learnt",
-            "lbd_sum",
-            "learnt_deleted",
-            "shared_exported",
-            "shared_imported",
-        )
-    }
+#: the learnt-clause-economy counters a fallback cube ships home
+_ECONOMY_KEYS = (
+    "learnt", "lbd_sum", "learnt_deleted", "shared_exported", "shared_imported"
+)
+
+
+class _Shipper:
+    """A cube worker's sink: ships results to the parent as it goes.
+
+    Every ``chunk`` scenarios it pushes a partial through
+    :func:`repro.parallel.emit_partial` — ``("agg", blob)`` carrying a
+    pre-folded :class:`ScenarioAggregate` in ``stream_mode="aggregate"``,
+    ``("outcomes", [...])`` carrying the outcomes themselves in
+    ``stream_mode="models"`` — so parent-side memory tracks the merged
+    result, not the model count.  ``clear`` ships ``("reset",)``: the
+    parent drops what the cube streamed before a fallback.
+    """
+
+    def __init__(self, payload: Mapping[str, object]):
+        self.payload = payload
+        self.chunk = payload["chunk"]
+        self.count = 0
+        self.part = self._new()
+
+    def _new(self):
+        if self.payload["stream_mode"] == "aggregate":
+            return ScenarioAggregate(
+                self.payload["aggregate_requirements"],
+                self.payload["magnitudes"],
+                self.payload["max_minimal_sets"],
+            )
+        return _Outcomes()
+
+    def add(self, outcome: ScenarioOutcome) -> None:
+        self.count += 1
+        self.part.add(outcome)
+        if self.part.scenarios >= self.chunk:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self.part.scenarios:
+            return
+        if isinstance(self.part, ScenarioAggregate):
+            emit_partial(("agg", self.part.dumps()))
+        else:
+            emit_partial(("outcomes", list(self.part)))
+        self.part = self._new()
+
+    def clear(self) -> None:
+        emit_partial(("reset",))
+        self.count = 0
+        self.part = self._new()
 
 
 def _cube_worker(
     payload: Dict[str, object]
 ) -> Tuple[
-    List[ScenarioOutcome],
+    None,
     Dict[str, object],
     List[Tuple[str, float, Dict[str, object]]],
     Dict[str, object],
 ]:
-    """Enumerate one cube of the fault-choice space.
+    """Run the kernel's search on one cube, shipping results as found.
 
-    Runs in a pool worker: looks up the shared context (solver template,
-    probe tables), runs the propagation-driven projected enumeration
-    with the cube as assumptions, and ships back a result envelope —
-    ``(outcomes, stats, trace events, metrics snapshot)``.  The parent
-    replays the events on its own sink tagged ``worker=<i>`` and folds
-    the metrics into its process-wide registry, so ``--trace`` and
-    ``--metrics`` compose with ``--workers N``.  If the projected
-    enumeration reports :class:`ProjectionIncomplete` (a leaf it could
-    not settle by propagation alone), the cube transparently restarts on
-    the complete CDCL enumeration path — slower, never wrong.
+    Runs in a pool worker (in-process when the pool degenerates to one
+    task): looks up the published context, runs :func:`_project` under
+    the parent's external assignment plus the cube, streaming into a
+    :class:`_Shipper`, and returns the envelope ``(None, stats, trace
+    events, metrics snapshot)``.  The parent replays the events on its
+    own sink tagged ``worker=<i>`` and folds the metrics into its
+    process-wide registry, so ``--trace`` and ``--metrics`` compose with
+    ``--workers N``.  A fallback enumerates on a fresh reference solver
+    wired into the glue channel (:func:`_fallback_reference`), whose
+    glue clauses ship as a ``("glue", ...)`` partial.
     """
-    # pool workers persist across tasks: zero the child's registry so
-    # each envelope carries exactly this cube's metrics
     registry = get_registry()
-    registry.reset()
-    solver, probes, project = _cube_context(payload)
+    if payload["subprocess"]:
+        # pool workers persist across tasks: zero the child's registry
+        # so each envelope carries exactly this cube's metrics.  In the
+        # in-process degenerate case the parent registry must survive;
+        # metrics are then already in place and the envelope ships none.
+        registry.reset()
+    solver, probes = _cube_context(payload)
     cube = payload["cube"]
-    outcomes: List[ScenarioOutcome] = []
-    start = time.perf_counter()
-    fallback = False
-
-    def on_model(assignment: Sequence[int]) -> None:
-        outcomes.append(_probe_extract(assignment, probes))
-
+    sink = _Shipper(payload)
     glue: List[List[int]] = []
-    stats = {"solving": {"models": 0}}
-    try:
-        solver.project_models(project, on_model, assumptions=cube)
-    except ProjectionIncomplete:
-        # discard partial output and redo the cube on the reference path
-        fallback = True
-        outcomes = []
-        requirement_names = payload["requirement_names"]
-        reference = _fallback_reference(payload, glue)
-        for model in reference.models(assumptions=cube, project=project):
-            outcomes.append(_model_extract(model, requirement_names))
-        stats["solving"]["solvers"] = _economy_counters(reference)
-        if glue:
-            emit_partial(("glue", glue))
+    references: List[StableModelSolver] = []
+
+    def reference() -> StableModelSolver:
+        references.append(_fallback_reference(payload, glue))
+        return references[-1]
+
+    start = time.perf_counter()
+    _project(
+        solver,
+        payload["project"],
+        list(payload["externals"]) + list(cube),
+        probes,
+        sink,
+        reference,
+    )
+    if glue:
+        emit_partial(("glue", glue))
+    sink.flush()
     elapsed = time.perf_counter() - start
     events: List[Tuple[str, float, Dict[str, object]]] = []
-    if payload.get("traced"):
+    if payload["traced"]:
         events.append(
             (
                 "epa.cube",
                 elapsed,
                 {
                     "cube": payload["index"],
-                    "models": len(outcomes),
+                    "models": sink.count,
                     "assumed": len(cube),
-                    "fallback": fallback,
+                    "fallback": bool(references),
+                    "stream": payload["stream_mode"],
                     "seconds": elapsed,
                 },
             )
         )
-    stats["solving"]["models"] = len(outcomes)
-    return outcomes, stats, events, registry.to_dict()
+    stats: Dict[str, object] = {"solving": {"models": sink.count}}
+    if references:
+        counters = references[0].statistics["solvers"]
+        stats["solving"]["solvers"] = {
+            key: counters[key] for key in _ECONOMY_KEYS
+        }
+    metrics = registry.to_dict() if payload["subprocess"] else {}
+    return None, stats, events, metrics
 
 
 def _sweep_digest(
@@ -1659,121 +1469,13 @@ def _sweep_digest(
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
-def _stream_cube_worker(
-    payload: Dict[str, object]
-) -> Tuple[
-    None,
-    Dict[str, object],
-    List[Tuple[str, float, Dict[str, object]]],
-    Dict[str, object],
-]:
-    """Enumerate one cube, shipping results as they are found.
-
-    The streaming sibling of :func:`_cube_worker`: instead of returning
-    one pickled outcome batch, it pushes partial payloads through
-    :func:`repro.parallel.emit_partial` while enumerating —
-    ``("agg", blob)`` messages carrying pre-folded
-    :class:`ScenarioAggregate` chunks in ``stream_mode="aggregate"``,
-    ``("outcomes", [...])`` batches of extracted outcomes in
-    ``stream_mode="models"`` — every ``chunk`` scenarios, so parent-side
-    memory tracks the aggregate, not the model count.  On
-    :class:`ProjectionIncomplete` it ships ``("reset",)`` (the parent
-    drops the cube's buffered partials) and re-streams the cube from
-    the complete CDCL enumeration.  The envelope mirrors
-    :func:`_cube_worker` minus the outcome list: ``(None, stats,
-    events, metrics)``.
-    """
-    registry = get_registry()
-    if payload.get("subprocess"):
-        # pool workers persist across tasks: zero the child's registry
-        # so each envelope carries exactly this cube's metrics.  In the
-        # in-process degenerate case the parent registry must survive;
-        # metrics are then already in place and the envelope ships none.
-        registry.reset()
-    solver, probes, project = _cube_context(payload)
-    cube = payload["cube"]
-    mode = payload["stream_mode"]
-    chunk = payload["chunk"]
-    names = payload["aggregate_requirements"]
-    magnitudes = payload["magnitudes"]
-    cap = payload["max_minimal_sets"]
-    start = time.perf_counter()
-    fallback = False
-    count = 0
-    part = ScenarioAggregate(names, magnitudes, cap)
-    batch: List[ScenarioOutcome] = []
-    held = [0]
-
-    def flush() -> None:
-        nonlocal part
-        if mode == "aggregate":
-            if held[0]:
-                emit_partial(("agg", part.dumps()))
-                part = ScenarioAggregate(names, magnitudes, cap)
-                held[0] = 0
-        elif batch:
-            emit_partial(("outcomes", list(batch)))
-            del batch[:]
-
-    def fold(outcome: ScenarioOutcome) -> None:
-        nonlocal count
-        count += 1
-        if mode == "aggregate":
-            part.add(outcome)
-            held[0] += 1
-            if held[0] >= chunk:
-                flush()
-        else:
-            batch.append(outcome)
-            if len(batch) >= chunk:
-                flush()
-
-    def on_model(assignment: Sequence[int]) -> None:
-        fold(_probe_extract(assignment, probes))
-
-    glue: List[List[int]] = []
-    economy: Optional[Dict[str, int]] = None
-    try:
-        solver.project_models(project, on_model, assumptions=cube)
-    except ProjectionIncomplete:
-        # tell the parent to discard everything streamed so far, then
-        # redo the cube on the reference path
-        fallback = True
-        emit_partial(("reset",))
-        count = 0
-        part = ScenarioAggregate(names, magnitudes, cap)
-        held[0] = 0
-        del batch[:]
-        requirement_names = payload["requirement_names"]
-        reference = _fallback_reference(payload, glue)
-        for model in reference.models(assumptions=cube, project=project):
-            fold(_model_extract(model, requirement_names))
-        economy = _economy_counters(reference)
-        if glue:
-            emit_partial(("glue", glue))
-    flush()
-    elapsed = time.perf_counter() - start
-    events: List[Tuple[str, float, Dict[str, object]]] = []
-    if payload.get("traced"):
-        events.append(
-            (
-                "epa.cube",
-                elapsed,
-                {
-                    "cube": payload["index"],
-                    "models": count,
-                    "assumed": len(cube),
-                    "fallback": fallback,
-                    "stream": mode,
-                    "seconds": elapsed,
-                },
-            )
-        )
-    stats: Dict[str, object] = {"solving": {"models": count}}
-    if economy is not None:
-        stats["solving"]["solvers"] = economy
-    metrics = registry.to_dict() if payload.get("subprocess") else {}
-    return None, stats, events, metrics
+def _deployed(deployment: Mapping[str, Sequence[str]]) -> Set[Tuple[str, str]]:
+    """The (component, mitigation-symbol) pairs a deployment activates."""
+    return {
+        (component, _mitigation_symbol(mitigation))
+        for component, mitigations in dict(deployment or {}).items()
+        for mitigation in mitigations
+    }
 
 
 def _mitigation_symbol(identifier: str) -> str:

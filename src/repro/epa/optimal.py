@@ -262,7 +262,6 @@ def _deployment_worker(payload: Dict[str, object]) -> Optional[int]:
         fault_mitigations=payload["fault_mitigations"],
         component_mitigations=payload["component_mitigations"],
         extra_mutations=payload["extra_mutations"],
-        incremental=False,
     )
     try:
         return cheapest_attack(

@@ -25,25 +25,12 @@ sensitivity-analysis factor variations.  Two pool shapes live here:
     ``repro_parallel_worker_busy_seconds``, ``repro_parallel_steals_total``
     and ``repro_parallel_cubes_total``.
 
-:func:`split_cubes` turns a list of binary choices — e.g. the EPA
-fault-activation atoms — into ``2**k`` fixed-prefix cubes: every cube
-pins the first ``k`` choices to one concrete truth assignment and
-leaves the rest open.  The cubes partition the search space, so
-sharding an enumeration over them yields each model exactly once, and
-the union of the shards equals the unsharded enumeration.  (The
-occurrence-ordered linear splitting that the EPA engine now uses lives
-in :mod:`repro.asp.cubes`; this helper remains for fixed-prefix
-sharding of generic binary choices.)
-
-:func:`merge_stats` folds per-worker statistics dictionaries into one
-:class:`~repro.observability.SolveStats` tree (numeric leaves sum), so
-``--stats`` output still accounts for work done in child processes.
-Trace events and metrics ride the same way: workers ship their
-recorded event streams and a
-:meth:`~repro.observability.MetricsRegistry.to_dict` snapshot back in
-the result envelope, and the parent replays the events on its own sink
-tagged ``worker=<i>`` and folds the metrics into the process-wide
-registry — ``--trace``/``--metrics`` compose with ``--workers N``.
+Workers ship their statistics dictionaries, recorded trace event
+streams and a :meth:`~repro.observability.MetricsRegistry.to_dict`
+snapshot back in the result envelope; the parent merges the statistics
+with :meth:`~repro.observability.SolveStats.merge`, replays the events
+on its own sink tagged ``worker=<i>`` and folds the metrics into the
+process-wide registry — ``--trace``/``--metrics`` compose with ``--workers N``.
 
 Pool-level failures — a worker killed by the OS, unpicklable payloads —
 surface as :class:`ParallelError` instead of a hang, with the
@@ -71,7 +58,6 @@ case (one worker or one item) :func:`emit_partial` invokes
 from __future__ import annotations
 
 import gc
-import itertools
 import multiprocessing
 import pickle
 import queue as queue_module
@@ -86,12 +72,9 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
-    Tuple,
     TypeVar,
 )
 
-from .observability import SolveStats
 from .observability.health import WorkerHealth
 from .observability.metrics import get_registry
 
@@ -543,45 +526,10 @@ def _run_pool(
         shutdown()
 
 
-def split_cubes(
-    choices: Sequence[_Item], workers: int
-) -> List[Tuple[Tuple[_Item, bool], ...]]:
-    """Fixed-prefix cubes partitioning the space over binary ``choices``.
-
-    Pins the first ``k = ceil(log2(workers))`` choices (capped at the
-    number of choices available) to every combination of truth values,
-    producing ``2**k >= workers`` disjoint cubes whose union covers the
-    full space.  Deterministic: cube order follows
-    ``itertools.product((False, True), ...)`` over the choice prefix.
-    With no choices (or a single worker) there is one empty cube.
-    """
-    if workers <= 1 or not choices:
-        return [()]
-    prefix_length = 0
-    while (1 << prefix_length) < workers and prefix_length < len(choices):
-        prefix_length += 1
-    prefix = list(choices[:prefix_length])
-    return [
-        tuple(zip(prefix, values))
-        for values in itertools.product((False, True), repeat=prefix_length)
-    ]
-
-
-def merge_stats(
-    target: SolveStats, parts: Iterable[Dict[str, object]]
-) -> SolveStats:
-    """Fold per-worker statistics dicts into ``target`` (leaves sum)."""
-    for part in parts:
-        target.merge(part)
-    return target
-
-
 __all__ = [
     "MAX_TASK_ATTEMPTS",
     "ParallelError",
     "WorkStealingPool",
     "emit_partial",
     "parallel_map",
-    "split_cubes",
-    "merge_stats",
 ]

@@ -6,15 +6,13 @@ clean exceptions — a crashed worker process must become an
 :class:`~repro.epa.EpaError`, never a hang or a half-filled report.
 """
 
-import itertools
 import os
 
 import pytest
 
 from repro.epa import EpaEngine, EpaError, StaticRequirement
 from repro.hierarchy.cegar import cegar_loop
-from repro.observability import SolveStats
-from repro.parallel import ParallelError, merge_stats, parallel_map, split_cubes
+from repro.parallel import ParallelError, parallel_map
 from repro.qualitative.spaces import QuantitySpace
 from repro.risk.sensitivity import one_at_a_time
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
@@ -76,48 +74,6 @@ class TestParallelMap:
     def test_crashed_worker_raises_parallel_error(self):
         with pytest.raises(ParallelError):
             parallel_map(_die, [1, 2, 3, 4], workers=2)
-
-
-class TestSplitCubes:
-    def test_single_worker_is_one_empty_cube(self):
-        assert split_cubes(["a", "b"], 1) == [()]
-        assert split_cubes([], 4) == [()]
-
-    @pytest.mark.parametrize("workers", [2, 3, 4, 8])
-    def test_cubes_partition_the_space(self, workers):
-        choices = ["a", "b", "c", "d"]
-        cubes = split_cubes(choices, workers)
-        assert len(cubes) >= workers or len(cubes) == 2 ** len(choices)
-        # every total assignment is consistent with exactly one cube
-        for assignment in itertools.product(
-            (False, True), repeat=len(choices)
-        ):
-            point = dict(zip(choices, assignment))
-            matching = [
-                cube
-                for cube in cubes
-                if all(point[name] == value for name, value in cube)
-            ]
-            assert len(matching) == 1
-
-    def test_prefix_capped_by_choice_count(self):
-        cubes = split_cubes(["only"], 8)
-        assert sorted(cubes) == [(("only", False),), (("only", True),)]
-
-
-class TestMergeStats:
-    def test_numeric_leaves_sum(self):
-        target = SolveStats()
-        target.incr("solving.models", 2)
-        merged = merge_stats(
-            target,
-            [
-                {"solving": {"models": 3}, "summary": {"calls": 1}},
-                {"solving": {"models": 5}},
-            ],
-        )
-        assert merged["solving"]["models"] == 10
-        assert merged["summary"]["calls"] == 1
 
 
 class TestShardedAnalyze:
@@ -358,19 +314,22 @@ class TestParallelByteIdentity:
         ).analyze(max_faults=2)
         assert self._pairs(parallel) == self._pairs(serial)
 
-    def test_portfolio_scenario_verdict_matches_sequential(self):
+    def test_scenario_verdict_invariant_across_parallel_mode(self):
+        """A pinned scenario is one propagation leaf on the persistent
+        control, whatever ``parallel_mode`` and ``workers`` say: no
+        mode races it, and none may change its verdict."""
         serial_engine = EpaEngine(chain_model(), REQ)
-        portfolio_engine = EpaEngine(
-            chain_model(), REQ, workers=2, parallel_mode="portfolio"
-        )
         report = serial_engine.analyze(max_faults=1)
         target = next(
             o for o in report.outcomes if o.fault_count == 1
         ).active_faults
         serial = serial_engine.analyze_scenario(target)
-        raced = portfolio_engine.analyze_scenario(target)
-        assert raced.violated == serial.violated
-        assert raced.severity_rank == serial.severity_rank
+        for mode in ("auto", "cube", "portfolio"):
+            engine = EpaEngine(chain_model(), REQ, workers=2, parallel_mode=mode)
+            verdict = engine.analyze_scenario(target)
+            assert verdict.violated == serial.violated
+            assert verdict.severity_rank == serial.severity_rank
+            assert verdict.paths == serial.paths
 
     def test_invalid_parallel_mode_rejected(self):
         with pytest.raises(EpaError):

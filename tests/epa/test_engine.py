@@ -1,6 +1,13 @@
 """Unit tests for the topology-level EPA engine."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
+
+import repro
 
 from repro.epa import (
     EpaEngine,
@@ -224,3 +231,36 @@ class TestReportQueries:
         path = outcome.paths["rv"]
         assert path[0].source == "s"
         assert path[-1].target == "v"
+
+
+class TestPathDeterminism:
+    def test_paths_independent_of_hash_seed(self):
+        """Equally short propagation paths tie-break on fault order, not
+        on set iteration order: interpreters with different string-hash
+        seeds must report the same paths."""
+        script = textwrap.dedent(
+            """
+            from repro.security.fleet import FleetSpec, fleet_engine
+
+            spec = FleetSpec(tiers=2, components_per_tier=3,
+                             fault_modes_per_component=2, max_faults=2)
+            report = fleet_engine(spec).analyze(max_faults=2, with_paths=True)
+            for outcome in report.outcomes:
+                print(outcome.key(), sorted(outcome.paths.items()))
+            """
+        )
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=source_root)
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+            )
+        assert "PropagationStep" in outputs[0]
+        assert outputs[0] == outputs[1]

@@ -1,21 +1,30 @@
-"""Differential validation of the incremental EPA engine.
+"""Differential validation of the EPA engine's enumeration kernel.
 
-An incremental :class:`~repro.epa.EpaEngine` keeps one persistent
-multi-shot control per ``max_faults`` bound and answers deployment /
-restriction / single-scenario queries by flipping externals and
-assumptions.  These tests require every such answer to be identical to
-the fresh-control path (``incremental=False``) that regrounds per call
-— on the three-component chain model, the water-tank case study, and
-the deployment sweeps of ``epa.optimal``.  EPA reports sort outcomes
-canonically, so full report equality (not just set equality) is the
-bar.
+:class:`~repro.epa.EpaEngine` keeps one persistent multi-shot control
+per ``max_faults`` bound and answers deployment / restriction /
+single-scenario queries by flipping externals and assumptions of one
+projected search.  These tests require every such answer to be
+identical to the CDCL oracle of :mod:`tests.epa.oracle`, which
+regrounds a fresh one-shot control per query — on the three-component
+chain model, the water-tank case study, and the deployment sweeps of
+``epa.optimal``.  EPA reports sort outcomes canonically, so full report
+equality (not just set equality) is the bar.
 """
 
 import pytest
 
-from repro.epa import EpaEngine, FaultRef, StaticRequirement
+from repro.asp.solver import ProjectionIncomplete, StableModelSolver
+from repro.epa import EpaEngine, FaultRef, ScenarioAggregate, StaticRequirement
 from repro.epa.optimal import attack_cost_of_mitigation
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
+from repro.observability import ProgressTracker
+
+from .oracle import (
+    cdcl_aggregate,
+    cdcl_report,
+    cdcl_scenario,
+    full_fingerprint,
+)
 
 REQ = [
     StaticRequirement("rv", "err(v, K), hazardous_kind(K)", focus="v", magnitude="VH"),
@@ -41,15 +50,8 @@ def chain_model():
     return model
 
 
-def engines():
-    """An incremental engine and its fresh-path twin."""
-    incremental = EpaEngine(
-        chain_model(), REQ, fault_mitigations=MITIGATIONS, incremental=True
-    )
-    fresh = EpaEngine(
-        chain_model(), REQ, fault_mitigations=MITIGATIONS, incremental=False
-    )
-    return incremental, fresh
+def chain_engine(**kwargs):
+    return EpaEngine(chain_model(), REQ, fault_mitigations=MITIGATIONS, **kwargs)
 
 
 def fingerprint(report):
@@ -62,13 +64,13 @@ def fingerprint(report):
 class TestChainDifferential:
     @pytest.mark.parametrize("max_faults", [0, 1, 2])
     def test_plain_enumeration(self, max_faults):
-        incremental, fresh = engines()
+        engine = chain_engine()
         assert fingerprint(
-            incremental.analyze(max_faults=max_faults)
-        ) == fingerprint(fresh.analyze(max_faults=max_faults))
+            engine.analyze(max_faults=max_faults)
+        ) == fingerprint(cdcl_report(engine, max_faults=max_faults))
 
     def test_deployment_sweep_on_one_engine(self):
-        incremental, fresh = engines()
+        engine = chain_engine()
         deployments = [
             {},
             {"s": ("shielding",)},
@@ -78,51 +80,51 @@ class TestChainDifferential:
         ]
         for deployment in deployments:
             assert fingerprint(
-                incremental.analyze(
+                engine.analyze(
                     active_mitigations=deployment, max_faults=2
                 )
             ) == fingerprint(
-                fresh.analyze(active_mitigations=deployment, max_faults=2)
+                cdcl_report(engine, active_mitigations=deployment, max_faults=2)
             )
-        multishot = incremental.statistics["solving"]["multishot"]
+        multishot = engine.statistics["solving"]["multishot"]
         assert multishot["solves"] == len(deployments)
         assert multishot["reground_avoided"] == len(deployments) - 1
 
     def test_restrict_faults(self):
-        incremental, fresh = engines()
+        engine = chain_engine()
         restrict = [FaultRef("s", "drift"), FaultRef("c", "crash")]
         assert fingerprint(
-            incremental.analyze(restrict_faults=restrict)
-        ) == fingerprint(fresh.analyze(restrict_faults=restrict))
+            engine.analyze(restrict_faults=restrict)
+        ) == fingerprint(cdcl_report(engine, restrict_faults=restrict))
         # the restriction must not leak into the next unrestricted call
-        assert len(incremental.analyze(max_faults=1)) == 10
+        assert len(engine.analyze(max_faults=1)) == 10
 
     def test_analyze_scenario(self):
-        incremental, fresh = engines()
+        engine = chain_engine()
         scenarios = [
             (),
             (FaultRef("s", "no_signal"),),
             (FaultRef("c", "compromised"), FaultRef("v", "stuck_at_open")),
         ]
         for faults in scenarios:
-            ours = incremental.analyze_scenario(faults)
-            reference = fresh.analyze_scenario(faults)
+            ours = engine.analyze_scenario(faults)
+            reference = cdcl_scenario(engine, faults)
             assert ours.key() == reference.key()
             assert ours.violated == reference.violated
 
     def test_analyze_scenario_respects_mitigations(self):
-        incremental, fresh = engines()
+        engine = chain_engine()
         deployment = {"s": ("shielding",)}
         faults = (FaultRef("s", "no_signal"),)
-        ours = incremental.analyze_scenario(faults, active_mitigations=deployment)
-        reference = fresh.analyze_scenario(faults, active_mitigations=deployment)
+        ours = engine.analyze_scenario(faults, active_mitigations=deployment)
+        reference = cdcl_scenario(engine, faults, active_mitigations=deployment)
         # the suppressed fault stays inactive on both paths
         assert ours.key() == reference.key() == ()
 
     def test_limit_falls_back_without_poisoning(self):
-        incremental, _ = engines()
-        assert len(incremental.analyze(max_faults=1, limit=3)) == 3
-        assert len(incremental.analyze(max_faults=1)) == 10
+        engine = chain_engine()
+        assert len(engine.analyze(max_faults=1, limit=3)) == 3
+        assert len(engine.analyze(max_faults=1)) == 10
 
 
 class TestWaterTankDifferential:
@@ -131,14 +133,9 @@ class TestWaterTankDifferential:
     def test_bounded_enumeration(self):
         from repro.casestudy import build_system_model, static_requirements
 
-        incremental = EpaEngine(
-            build_system_model(), static_requirements(), incremental=True
-        )
-        fresh = EpaEngine(
-            build_system_model(), static_requirements(), incremental=False
-        )
-        assert fingerprint(incremental.analyze(max_faults=1)) == fingerprint(
-            fresh.analyze(max_faults=1)
+        engine = EpaEngine(build_system_model(), static_requirements())
+        assert fingerprint(engine.analyze(max_faults=1)) == fingerprint(
+            cdcl_report(engine, max_faults=1)
         )
 
 
@@ -150,15 +147,102 @@ class TestAttackCostSweep:
             {"c": ("hardening",)},
             {"s": ("shielding",), "v": ("maintenance",)},
         ]
-        incremental, _ = engines()
-        multishot = attack_cost_of_mitigation(incremental, "rv", deployments)
-        legacy_engine, _ = engines()
+        multishot = attack_cost_of_mitigation(chain_engine(), "rv", deployments)
         legacy = attack_cost_of_mitigation(
-            legacy_engine, "rv", deployments, multishot=False
+            chain_engine(), "rv", deployments, multishot=False
         )
-        parallel_engine, _ = engines()
+        parallel_engine = chain_engine()
         parallel = attack_cost_of_mitigation(
             parallel_engine, "rv", deployments, workers=2
         )
         assert multishot == legacy == parallel
         assert set(multishot) == set(range(len(deployments)))
+
+
+class TestKernelState:
+    """One engine, one persistent control per bound: whatever a query
+    leaves behind (externals, retracted blocking clauses, learnt
+    clauses) must not change the next query's answer."""
+
+    def test_mixed_sequence_matches_oracle(self):
+        engine = chain_engine()
+        deployment = {"c": ("hardening",)}
+        restrict = [
+            FaultRef("s", "drift"),
+            FaultRef("c", "crash"),
+            FaultRef("v", "stuck_at_open"),
+        ]
+        faults = (FaultRef("c", "compromised"), FaultRef("v", "stuck_at_open"))
+        names = [r.name for r in REQ]
+        magnitudes = {r.name: r.magnitude for r in REQ}
+
+        verdict = engine.analyze_scenario(faults)
+        assert full_fingerprint([verdict]) == full_fingerprint(
+            [cdcl_scenario(engine, faults)]
+        )
+        resweep = engine.analyze(
+            active_mitigations=deployment,
+            max_faults=2,
+            restrict_faults=restrict,
+            with_paths=True,
+        )
+        assert full_fingerprint(resweep.outcomes) == full_fingerprint(
+            cdcl_report(
+                engine,
+                active_mitigations=deployment,
+                max_faults=2,
+                restrict_faults=restrict,
+                with_paths=True,
+            ).outcomes
+        )
+        swept = engine.aggregate(max_faults=2)
+        assert swept.dumps() == cdcl_aggregate(engine, max_faults=2).dumps()
+        full = engine.analyze(max_faults=2, with_paths=True)
+        assert full_fingerprint(full.outcomes) == full_fingerprint(
+            cdcl_report(engine, max_faults=2, with_paths=True).outcomes
+        )
+        streamed = ScenarioAggregate.from_outcomes(
+            engine.analyze_stream(active_mitigations=deployment, max_faults=2),
+            names,
+            magnitudes,
+        )
+        reference = cdcl_aggregate(
+            engine, active_mitigations=deployment, max_faults=2
+        )
+        assert streamed.dumps() == reference.dumps()
+        # and back to the first question, after everything above
+        again = engine.analyze_scenario(faults)
+        assert full_fingerprint([again]) == full_fingerprint([verdict])
+
+    def test_fallback_discards_partial_output_and_progress(self, monkeypatch):
+        """A projected search that gives up midway: the kernel must drop
+        what the sink already received and take the progress back, then
+        redo the whole space by CDCL search."""
+        real = StableModelSolver.project_models
+        attempts = []
+
+        def gives_up(self, project, on_model, assumptions=()):
+            def partial(assignment):
+                on_model(assignment)
+                if len(attempts) == 3:
+                    raise ProjectionIncomplete("forced by test")
+                attempts.append(None)
+
+            return real(self, project, partial, assumptions=assumptions)
+
+        monkeypatch.setattr(StableModelSolver, "project_models", gives_up)
+        tracker = ProgressTracker(min_interval=0.0)
+        engine = chain_engine(progress=tracker)
+        report = engine.analyze(max_faults=2)
+        assert len(attempts) == 3  # the search did deliver, then gave up
+        assert fingerprint(report) == fingerprint(
+            cdcl_report(engine, max_faults=2)
+        )
+        assert tracker.scenarios == len(report)
+
+        attempts.clear()
+        tracker = ProgressTracker(min_interval=0.0)
+        engine = chain_engine(progress=tracker)
+        swept = engine.aggregate(max_faults=2)
+        assert swept.dumps() == cdcl_aggregate(engine, max_faults=2).dumps()
+        assert tracker.scenarios == swept.scenarios

@@ -45,6 +45,8 @@ from repro.epa.results import ScenarioOutcome
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
 from repro.parallel import WorkStealingPool, emit_partial
 
+from .oracle import cdcl_aggregate
+
 REQ = [
     StaticRequirement(
         "rv", "err(v, K), hazardous_kind(K)", focus="v", magnitude="VH"
@@ -64,9 +66,8 @@ def chain_model():
 
 
 def _reference(engine, **kwargs):
-    """The materialized fold every streamed variant must reproduce."""
-    magnitudes = {r.name: r.magnitude for r in REQ}
-    return engine.analyze(**kwargs).to_aggregate(magnitudes).dumps()
+    """The CDCL oracle's fold every streamed variant must reproduce."""
+    return cdcl_aggregate(engine, **kwargs).dumps()
 
 
 class TestStreamedByteIdentity:
@@ -140,11 +141,7 @@ class TestStreamedByteIdentity:
             fault_modes_per_component=modes,
             max_faults=max_faults,
         )
-        engine = fleet_engine(spec)
-        magnitudes = {r.name: r.magnitude for r in engine.requirements}
-        reference = ScenarioAggregate.from_report(
-            engine.analyze(max_faults=max_faults), magnitudes
-        )
+        reference = cdcl_aggregate(fleet_engine(spec), max_faults=max_faults)
         assert reference.scenarios == spec.scenario_count(max_faults)
         streamed = fleet_engine(spec).aggregate(max_faults=max_faults)
         assert streamed.dumps() == reference.dumps()
@@ -238,7 +235,7 @@ class TestCheckpointResume:
         import repro.epa.engine as engine_module
 
         path = str(tmp_path / "sweep.ckpt")
-        reference = EpaEngine(chain_model(), REQ).aggregate(max_faults=2)
+        reference = cdcl_aggregate(EpaEngine(chain_model(), REQ), max_faults=2)
 
         real_write = engine_module.write_checkpoint
         calls = []
@@ -282,6 +279,37 @@ class TestCheckpointResume:
             EpaEngine(chain_model(), REQ).aggregate(
                 max_faults=2, checkpoint=path
             )
+
+
+    def test_checkpoint_of_the_one_shot_program_refused(self, tmp_path):
+        """Tokens written before sweeps ran on the multi-shot program
+        digest a different ground program: refused, never merged."""
+        from repro.asp import atom
+        from repro.asp.cubes import linear_cubes, order_by_occurrence
+        from repro.asp.serialize import publish
+        from repro.epa.aggregate import DEFAULT_MAX_MINIMAL_SETS
+        from repro.epa.engine import _sweep_digest
+        from repro.epa.rules import scenario_choice
+
+        engine = EpaEngine(chain_model(), REQ)
+        control = engine._base_control({})
+        control.add(scenario_choice(2))
+        ground = control.ground()
+        atoms = [
+            atom("active_fault", ref.component, ref.fault)
+            for ref in engine._potential_faults({})
+        ]
+        cubes = linear_cubes(
+            order_by_occurrence(ground, atoms), resolve_cube_factor()
+        )
+        digest = _sweep_digest(
+            publish(ground)[0], cubes, 2, DEFAULT_MAX_MINIMAL_SETS, {}, None
+        )
+        path = str(tmp_path / "one-shot.ckpt")
+        partial = ScenarioAggregate([r.name for r in REQ], {"rv": "VH"})
+        write_checkpoint(path, digest, [0], partial.dumps())
+        with pytest.raises(EpaError):
+            engine.aggregate(max_faults=2, checkpoint=path)
 
 
 class TestCubeFactor:
