@@ -1,4 +1,4 @@
-"""Benchmarks of the parallel solve paths (cube sweep + portfolio).
+"""Benchmark of the parallel solve path (the cube sweep).
 
 ``test_bench_parallel_analyze_4_workers`` times a 4-worker
 cube-and-conquer sweep of the water-tank scenario space at
@@ -11,10 +11,6 @@ projected enumeration in the workers — on the machine that ran the
 suite.  The gain is algorithmic first and multi-core second: the cube
 path beats the sequential baseline by >3x even on a single core, and
 ``--check`` gates the speedup at >=2.0 (see ``docs/parallelism.md``).
-
-``test_bench_portfolio_first_model`` times the portfolio race on a
-single-answer query: four heuristic configurations of the stable-model
-search racing for the first model of a pinned worst-case scenario.
 """
 
 from repro.casestudy import build_system_model, static_requirements
@@ -58,23 +54,3 @@ def test_bench_parallel_analyze_4_workers(benchmark):
         sequential.analyze(max_faults=MAX_FAULTS)
     )
 
-
-def test_bench_portfolio_first_model(benchmark):
-    engine = EpaEngine(
-        build_system_model(),
-        static_requirements(),
-        workers=4,
-        parallel_mode="portfolio",
-    )
-    probe = engine.analyze(max_faults=1)
-    worst = max(
-        (o for o in probe.outcomes if o.fault_count == 1),
-        key=lambda o: (o.severity_rank, len(o.violated)),
-    )
-
-    def race():
-        return engine.analyze_scenario(worst.active_faults, with_paths=False)
-
-    outcome = benchmark.pedantic(race, rounds=3, iterations=1)
-    assert outcome.violated == worst.violated
-    assert outcome.severity_rank == worst.severity_rank

@@ -35,15 +35,6 @@ the ``REPRO_CUBE_FACTOR`` environment variable — the multi-core tuning
 knob (see ``docs/parallelism.md``): higher factors smooth stealing on
 skewed cubes at the cost of more per-cube setup.
 
-Cubes are not solved in isolation: with clause sharing on (the
-default), a cube whose enumeration falls back to full CDCL exports its
-glue learnt clauses, and the pool's dispatch-time decorate hook injects
-them into every cube still waiting — later cubes start warm with the
-conflicts earlier cubes already paid for.  Shared clauses are implied
-by the ground program (never by a cube's assumptions or by enumeration
-blocking), so the partition property above is untouched; see
-``docs/parallelism.md`` for the sharing knobs.
-
 Exports: :func:`occurrence_scores`, :func:`order_by_occurrence`,
 :func:`linear_cubes`, :func:`generate_cubes`,
 :func:`resolve_cube_factor`, :data:`DEFAULT_CUBE_FACTOR`.

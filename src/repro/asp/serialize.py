@@ -302,7 +302,8 @@ def loads_ground(blob: bytes) -> GroundProgram:
 
     Decoding re-enters the term/atom intern caches, so atoms decoded in
     a worker compare equal (and identical) to atoms the worker grounds
-    itself.  Raises :class:`SerializeError` on a bad magic header.
+    itself.  Raises :class:`SerializeError` on a bad magic header or
+    on bytes left over after the last field.
     """
     if blob[:4] != MAGIC:
         raise SerializeError("not an RGP1 ground-program blob")
@@ -404,6 +405,10 @@ def loads_ground(blob: bytes) -> GroundProgram:
         shows.append((strings[reader.uint()], reader.uint()))
 
     possible_atoms = [atoms[reader.uint()] for _ in range(reader.uint())]
+    if reader.pos != len(blob):
+        raise SerializeError(
+            "%d trailing bytes after the RGP1 program" % (len(blob) - reader.pos)
+        )
 
     return GroundProgram(
         rules=rules,
@@ -441,12 +446,15 @@ def shared_program(digest: str, blob: Optional[bytes] = None) -> GroundProgram:
     Fork-started workers hit the cache primed by the parent's
     :func:`publish`; spawn-started workers miss and decode the blob they
     were shipped (caching the result for subsequent tasks).  Raises
-    :class:`KeyError` on a miss with no blob to decode.
+    :class:`KeyError` on a miss with no blob to decode, and
+    :class:`SerializeError` when the blob does not hash to ``digest``.
     """
     program = _SHARED.get(digest)
     if program is None:
         if blob is None:
             raise KeyError("ground program %s not published and no blob given" % digest)
+        if hashlib.sha256(blob).hexdigest() != digest:
+            raise SerializeError("RGP1 blob does not match digest %s" % digest)
         program = loads_ground(blob)
         _SHARED[digest] = program
     return program

@@ -226,23 +226,20 @@ def _start_solving_command(
 
     ``config`` is the command's *result-determining* configuration —
     model content digest, requirements, bounds — deliberately excluding
-    performance knobs (workers, cube factor, clause sharing): runs that
+    performance knobs (workers, cube factor, reduce base): runs that
     share a config digest are supposed to produce the same numbers.
     """
     get_registry().reset()
     # the SAT economy knobs travel as environment variables so spawned
     # worker processes inherit them; validation happens here, once, with
     # the CLI's error reporting instead of a deep solver traceback
-    from .asp.sat import SatError, resolve_lbd_share_limit, resolve_reduce_base
+    from .asp.sat import SatError, resolve_reduce_base
 
     try:
         if getattr(args, "reduce_base", None) is not None:
             # 0 mirrors REPRO_REDUCE_BASE=0: reduce-DB off
             resolve_reduce_base(args.reduce_base or None)
             os.environ["REPRO_REDUCE_BASE"] = str(args.reduce_base)
-        if getattr(args, "lbd_share_limit", None) is not None:
-            resolve_lbd_share_limit(args.lbd_share_limit)
-            os.environ["REPRO_LBD_SHARE_LIMIT"] = str(args.lbd_share_limit)
     except SatError as error:
         print(str(error), file=sys.stderr)
         raise SystemExit(2)
@@ -336,9 +333,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 args.requirement,
                 trace=sink,
                 workers=args.workers,
-                parallel_mode=getattr(args, "parallel_mode", "auto"),
                 cube_factor=getattr(args, "cube_factor", None),
-                share_clauses=getattr(args, "share_clauses", True),
                 progress=run.tracker,
             )
             if args.stream or args.checkpoint:
@@ -578,9 +573,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
                 budget=args.budget,
                 trace=sink,
                 workers=args.workers,
-                parallel_mode=getattr(args, "parallel_mode", "auto"),
                 cube_factor=getattr(args, "cube_factor", None),
-                share_clauses=getattr(args, "share_clauses", True),
                 progress=run.tracker,
             )
             result = pipeline.run(model, refined_model=refined)
@@ -755,15 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
         "work stealing, see docs/parallelism.md)",
     )
     observability.add_argument(
-        "--parallel-mode",
-        choices=("auto", "cube", "portfolio"),
-        default="auto",
-        help="how --workers are used by the EPA engine: 'auto' and "
-        "'cube' shard scenario sweeps over cubes, 'portfolio' keeps them "
-        "sequential; pinned single-scenario queries never race "
-        "(see docs/parallelism.md)",
-    )
-    observability.add_argument(
         "--reduce-base",
         type=int,
         default=None,
@@ -771,23 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="learnt clauses kept before a reduce-DB pass deletes the "
         "worst half (default 2000, or env REPRO_REDUCE_BASE; 0 = never "
         "delete; see docs/performance.md)",
-    )
-    observability.add_argument(
-        "--lbd-share-limit",
-        type=int,
-        default=None,
-        metavar="L",
-        help="share learnt clauses with LBD <= L between parallel "
-        "solvers (default 2, or env REPRO_LBD_SHARE_LIMIT; 0 shares "
-        "nothing; see docs/parallelism.md)",
-    )
-    observability.add_argument(
-        "--no-share-clauses",
-        dest="share_clauses",
-        action="store_false",
-        default=True,
-        help="disable glue-clause exchange between parallel solvers "
-        "(identical results either way; sharing only changes latency)",
     )
     observability.add_argument(
         "--progress",

@@ -444,6 +444,11 @@ class ScenarioAggregate:
             )
             aggregate.minimal_violating.append(refs)
         aggregate.minimal_truncated = bool(reader.byte())
+        if reader.pos != len(data):
+            raise AggregateError(
+                "%d trailing bytes after the RAG1 aggregate"
+                % (len(data) - reader.pos)
+            )
         return aggregate
 
     def __eq__(self, other: object) -> bool:

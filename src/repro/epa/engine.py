@@ -132,9 +132,7 @@ class EpaEngine:
         extra_mutations: Sequence[CandidateMutation] = (),
         trace: Optional[object] = None,
         workers: Optional[int] = None,
-        parallel_mode: str = "auto",
         cube_factor: Optional[int] = None,
-        share_clauses: bool = True,
         progress: Optional[ProgressTracker] = None,
     ):
         """``fault_mitigations`` maps fault-mode name -> mitigation ids
@@ -143,19 +141,13 @@ class EpaEngine:
         optional :class:`~repro.observability.TraceSink` threaded into
         every solve the engine issues.  ``workers`` sets the default
         process-pool width for :meth:`analyze` and :meth:`aggregate`
-        (``None``/``1`` = sequential); ``parallel_mode`` ``"auto"`` or
-        ``"cube"`` shards full enumerations over cubes, ``"portfolio"``
-        keeps them sequential.  No engine query races a solver
-        portfolio: a pinned scenario is one propagation leaf (racing is
-        :meth:`~repro.asp.Control.first_model`'s).  ``cube_factor``
-        overrides the cube oversubscription factor (see
-        :func:`repro.asp.cubes.resolve_cube_factor`).
-        ``share_clauses`` lets cube workers that fall back to CDCL
-        search exchange glue learnt clauses (latency only, never the
-        report; see ``docs/parallelism.md``).  ``progress`` attaches a
-        :class:`~repro.observability.ProgressTracker` fed per scenario
-        sequentially and per partial and cube on sharded sweeps —
-        results are identical with or without it."""
+        (``None``/``1`` = sequential); with more than one worker, full
+        enumerations are sharded over cubes.  ``cube_factor`` overrides
+        the cube oversubscription factor (see
+        :func:`repro.asp.cubes.resolve_cube_factor`).  ``progress``
+        attaches a :class:`~repro.observability.ProgressTracker` fed per
+        scenario sequentially and per partial and cube on sharded
+        sweeps — results are identical with or without it."""
         names = [r.name for r in requirements]
         if len(set(names)) != len(names):
             raise EpaError("duplicate requirement names")
@@ -177,14 +169,7 @@ class EpaEngine:
         self._tracer = Tracer(self._trace)
         self._stats = SolveStats()
         self._workers = workers
-        if parallel_mode not in ("auto", "cube", "portfolio"):
-            raise EpaError(
-                "parallel_mode must be auto, cube or portfolio, not %r"
-                % (parallel_mode,)
-            )
-        self._parallel_mode = parallel_mode
         self._cube_factor = cube_factor
-        self._share_clauses = share_clauses
         self._progress = progress
         self._base_program: Optional[Program] = None
         self._controls: Dict[int, Control] = {}
@@ -215,37 +200,6 @@ class EpaEngine:
         if isinstance(solvers, SolveStats):
             finalize_solver_stats(solvers)
         return merged
-
-    def _glue_channel(self):
-        """Parent-side half of the cube glue channel.
-
-        Returns ``(collect, decorate)``: ``collect`` folds worker-
-        exported glue clauses into a deduplicated pool (clauses are
-        sets of literals, so dedup is by frozenset), and ``decorate``
-        is a :meth:`~repro.parallel.WorkStealingPool.map` dispatch-time
-        hook injecting the pool into a cube payload just before it is
-        handed to a worker — later cubes start warm with everything
-        earlier cubes learnt.  With sharing off no worker exports, so
-        the pool stays empty and payloads pass through untouched.
-        """
-        seen: Set[frozenset] = set()
-        glue: List[List[int]] = []
-
-        def collect(clauses) -> None:
-            for clause in clauses:
-                key = frozenset(clause)
-                if key not in seen:
-                    seen.add(key)
-                    glue.append(list(clause))
-
-        def decorate(_position: int, item: Dict[str, object]):
-            if not glue:
-                return item
-            item = dict(item)
-            item["shared_clauses"] = [list(clause) for clause in glue]
-            return item
-
-        return collect, decorate
 
     # ------------------------------------------------------------------
     # program assembly
@@ -448,12 +402,6 @@ class EpaEngine:
             return deployment, None
         return deployment, list(restrict_faults)
 
-    def _sharded(self, workers: Optional[int]) -> bool:
-        """Whether a full enumeration runs on the cube pool."""
-        return bool(workers and workers > 1) and (
-            self._parallel_mode != "portfolio"
-        )
-
     # ------------------------------------------------------------------
     # analysis
     # ------------------------------------------------------------------
@@ -490,7 +438,7 @@ class EpaEngine:
                         deployment, max_faults, restrict, limit=limit
                     )
                 )
-            elif self._sharded(workers):
+            elif workers and workers > 1:
                 outcomes = self._shard(
                     deployment, max_faults, restrict, workers, _Outcomes, "models"
                 )
@@ -595,7 +543,7 @@ class EpaEngine:
         with self._tracer.span(
             "epa.aggregate", max_faults=max_faults, workers=workers
         ) as span:
-            if self._sharded(workers) or checkpoint is not None:
+            if (workers and workers > 1) or checkpoint is not None:
                 result = self._shard(
                     deployment, max_faults, restrict, workers, part,
                     stream_mode, chunk_size, checkpoint, checkpoint_every,
@@ -750,11 +698,9 @@ class EpaEngine:
                 "magnitudes": magnitudes,
                 "max_minimal_sets": max_minimal_sets,
                 "subprocess": subprocess_mode,
-                "share_clauses": self._share_clauses,
             }
             for cube_id in pending
         ]
-        collect_glue, decorate = self._glue_channel()
 
         parts: Dict[int, object] = {}
         buffers: Dict[int, object] = {}
@@ -790,10 +736,6 @@ class EpaEngine:
                 held = buffers.pop(cube_id, None)
                 if held is not None:
                     self._progress_scenarios(-held.scenarios)
-            elif kind == "glue":
-                # shared learnt clauses, not cube results: fold into the
-                # warm-start pool for cubes still waiting to dispatch
-                collect_glue(value[1])
             else:
                 held = buffers.get(cube_id)
                 if held is None:
@@ -829,7 +771,6 @@ class EpaEngine:
                 on_partial=on_partial,
                 on_retry=on_retry,
                 on_result=on_result,
-                decorate=decorate,
             )
         except ParallelError as error:
             raise EpaError("sharded EPA sweep failed: %s" % error) from error
@@ -1286,33 +1227,8 @@ def _cube_context(
     return context
 
 
-def _fallback_reference(
-    payload: Mapping[str, object], glue_out: List[List[int]]
-) -> StableModelSolver:
-    """A fresh CDCL solver for a cube's fallback enumeration.
-
-    With ``share_clauses`` on, it imports the glue clauses earlier
-    cubes exported (injected at dispatch time by the parent's decorate
-    hook; all formula-implied, so the cube's models are untouched) and
-    exports its own into ``glue_out``, shipped as a ``("glue", ...)``
-    partial.  Clauses derived from enumeration-blocking constraints are
-    tainted inside the SAT core and never exported.
-    """
-    reference = StableModelSolver(shared_program(payload["digest"]))
-    if payload.get("share_clauses"):
-        reference.set_clause_sharing(
-            export=lambda clause, lbd: glue_out.append(list(clause))
-        )
-        imported = payload.get("shared_clauses")
-        if imported:
-            reference.import_clauses(imported)
-    return reference
-
-
 #: the learnt-clause-economy counters a fallback cube ships home
-_ECONOMY_KEYS = (
-    "learnt", "lbd_sum", "learnt_deleted", "shared_exported", "shared_imported"
-)
+_ECONOMY_KEYS = ("learnt", "lbd_sum", "learnt_deleted")
 
 
 class _Shipper:
@@ -1380,9 +1296,8 @@ def _cube_worker(
     events, metrics snapshot)``.  The parent replays the events on its
     own sink tagged ``worker=<i>`` and folds the metrics into its
     process-wide registry, so ``--trace`` and ``--metrics`` compose with
-    ``--workers N``.  A fallback enumerates on a fresh reference solver
-    wired into the glue channel (:func:`_fallback_reference`), whose
-    glue clauses ship as a ``("glue", ...)`` partial.
+    ``--workers N``.  A fallback enumerates on a fresh CDCL solver over
+    the same published program.
     """
     registry = get_registry()
     if payload["subprocess"]:
@@ -1394,11 +1309,10 @@ def _cube_worker(
     solver, probes = _cube_context(payload)
     cube = payload["cube"]
     sink = _Shipper(payload)
-    glue: List[List[int]] = []
     references: List[StableModelSolver] = []
 
     def reference() -> StableModelSolver:
-        references.append(_fallback_reference(payload, glue))
+        references.append(StableModelSolver(shared_program(payload["digest"])))
         return references[-1]
 
     start = time.perf_counter()
@@ -1410,8 +1324,6 @@ def _cube_worker(
         sink,
         reference,
     )
-    if glue:
-        emit_partial(("glue", glue))
     sink.flush()
     elapsed = time.perf_counter() - start
     events: List[Tuple[str, float, Dict[str, object]]] = []

@@ -237,7 +237,6 @@ def optimality_core(
     stats: Optional[SolveStats] = None,
     trace: Optional[object] = None,
     minimize: bool = True,
-    workers: Optional[int] = None,
 ) -> Optional[List[str]]:
     """Why no cheaper plan exists: an unsat core of the tightened bound.
 
@@ -249,12 +248,6 @@ def optimality_core(
     cheaper plan exists (``cost`` was not optimal).  With ``minimize``
     the core is a MUS: dropping any returned scenario from the
     requirement set admits a sub-``cost`` plan.
-
-    ``workers > 1`` races the bound-tightening satisfiability probes of
-    the MUS minimization over a solver portfolio
-    (:mod:`repro.asp.portfolio`); the initial core extraction stays
-    serial because it consumes the solver's unsat core, which the
-    portfolio path does not ship back.
     """
     tracer = Tracer(trace if trace is not None else NULL_SINK)
     get_registry().counter(
@@ -279,17 +272,15 @@ def optimality_core(
         control.add(":- #sum { C, M : deploy(M), cost(M, C) } > %d." % (cost - 1))
         from ..asp import atom as _atom
 
-        def is_unsat(scenarios: Sequence[str], race: bool = True) -> bool:
+        def is_unsat(scenarios: Sequence[str]) -> bool:
             assumptions = [
                 (_atom("require_blocked", scenario_names[s]), True)
                 for s in scenarios
             ]
-            return not control.is_satisfiable(
-                assumptions, workers=workers if race else None
-            )
+            return not control.is_satisfiable(assumptions)
 
         core: Optional[List[str]] = None
-        if is_unsat(blockable, race=False):
+        if is_unsat(blockable):
             reverse = {name: s for s, name in scenario_names.items()}
             core = sorted(
                 reverse[str(head.arguments[0])]

@@ -24,7 +24,7 @@ Two digests, deliberately distinct:
 *config digest*
     SHA-256 over the *result-determining* configuration only — command,
     model file content, requirements, ``max_faults``, stream mode —
-    excluding performance knobs (workers, cube factor, clause sharing).
+    excluding performance knobs (workers, cube factor, reduce base).
     Runs sharing a config digest are supposed to produce the same
     numbers, so they are comparable: ``repro runs diff`` baselines a
     run against the most recent earlier completed run with the same

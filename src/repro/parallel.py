@@ -300,10 +300,8 @@ class WorkStealingPool:
         ``decorate(task_index, item)`` rewrites an item *at dispatch
         time* — the moment it is handed to a worker, not when the batch
         was built — and its return value is what the worker receives.
-        This is the late-binding hook behind warm-started cube solves:
-        knowledge accumulated from already-finished tasks (e.g. shared
-        glue clauses) is injected into tasks still waiting in the
-        pending deque.  It runs in the parent, is applied again on every
+        Knowledge accumulated from already-finished tasks can thus be
+        injected into tasks still waiting in the pending deque.  It runs in the parent, is applied again on every
         retry dispatch (so a re-queued task sees the freshest state),
         and must not mutate the original item in place.
         """

@@ -1,24 +1,22 @@
-"""Tests for the learnt-clause economy: LBD-based reduce-DB, conflict
-minimization, and glue-clause sharing.
+"""Tests for the learnt-clause economy and the search knobs: LBD-based
+reduce-DB, conflict minimization and the Luby restart multiplier.
 
 The economy's whole contract is "same answers, fewer clauses": deleting
-high-LBD learnts, shrinking conflict clauses and importing a peer's glue
+high-LBD learnts, shrinking conflict clauses and restarting more often
 may only ever change how fast the search runs, never what it returns.
 These tests pin that contract — enumeration stays complete and
 byte-identical with the economy on or off, blocking clauses survive
-every reduce pass, imported clauses never flip a verdict — plus the
-knob validation and the new statistics counters.
+every reduce pass, the default configuration keeps its enumeration
+order — plus the knob validation and the statistics counters.
 """
 
 import pytest
 
 from repro.asp import Control
 from repro.asp.sat import (
-    DEFAULT_LBD_SHARE_LIMIT,
     DEFAULT_REDUCE_BASE,
     SatError,
     Solver,
-    resolve_lbd_share_limit,
     resolve_reduce_base,
 )
 from repro.asp.solver import StableModelSolver
@@ -66,15 +64,21 @@ class TestKnobValidation:
     def test_reduce_base_none_disables(self):
         assert Solver(reduce_base=None)._reduce_base is None
 
-    def test_lbd_share_limit_negative_rejected(self):
-        with pytest.raises(SatError, match="lbd_share_limit must be >= 0"):
-            Solver(lbd_share_limit=-1)
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"restart_base": 0}, "restart_base must be >= 1"),
+            ({"restart_base": -3}, "restart_base must be >= 1"),
+        ],
+        ids=["restart_base_zero", "restart_base_negative"],
+    )
+    def test_invalid_knob_rejected(self, knobs, message):
+        with pytest.raises(SatError, match=message):
+            Solver(**knobs)
 
     def test_env_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_REDUCE_BASE", raising=False)
-        monkeypatch.delenv("REPRO_LBD_SHARE_LIMIT", raising=False)
         assert resolve_reduce_base() == DEFAULT_REDUCE_BASE
-        assert resolve_lbd_share_limit() == DEFAULT_LBD_SHARE_LIMIT
 
     def test_env_zero_disables_reduce(self, monkeypatch):
         monkeypatch.setenv("REPRO_REDUCE_BASE", "0")
@@ -82,9 +86,7 @@ class TestKnobValidation:
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_REDUCE_BASE", "123")
-        monkeypatch.setenv("REPRO_LBD_SHARE_LIMIT", "5")
         assert resolve_reduce_base() == 123
-        assert resolve_lbd_share_limit() == 5
 
 
 class TestReduceDb:
@@ -156,84 +158,53 @@ class TestConflictMinimization:
         assert on.statistics["lbd_sum"] <= off.statistics["lbd_sum"]
 
 
-class TestClauseSharing:
-    def test_export_import_same_verdict(self):
-        """Glue exported by one solver imports cleanly into a twin with
-        the same variable numbering, preserving the verdict."""
-        exported = []
-        source = Solver(restart_base=1, lbd_share_limit=1000)
-        source.set_sharing(export=lambda clause, lbd: exported.append(clause))
-        pigeonhole(source, 5, 4)
-        assert source.solve() is None
-        assert exported
-        assert source.statistics["shared_exported"] == len(exported)
+class TestSearchKnobs:
+    """Every knob steers the search, never the semantics: the *set* of
+    answer sets is the same under any setting, and spelling out the
+    defaults replays the default enumeration byte for byte."""
 
-        twin = Solver()
-        pigeonhole(twin, 5, 4)
-        for clause in exported:
-            twin.import_clause(clause)
-        assert twin.statistics["shared_imported"] == len(exported)
-        assert twin.solve() is None
+    @pytest.mark.parametrize(
+        "heuristics",
+        [
+            {"restart_base": 8},
+            {"restart_base": 1},
+            {"reduce_base": 1},
+            {"minimize_learnts": False},
+            AGGRESSIVE,
+            ECONOMY_OFF,
+        ],
+        ids=[
+            "restart_base_8",
+            "restart_base_1",
+            "reduce_base_1",
+            "no_minimize",
+            "aggressive",
+            "economy_off",
+        ],
+    )
+    def test_knobs_preserve_answer_sets(self, heuristics):
+        def answer_sets(knobs):
+            solver = StableModelSolver(
+                Control(PROGRAM).ground(), heuristics=knobs
+            )
+            return {frozenset(m.atoms) for m in solver.models()}
 
-        sat_twin = Solver()
-        grid = pigeonhole(sat_twin, 4, 4)
-        sat_source = Solver(restart_base=1, lbd_share_limit=1000)
-        sat_exported = []
-        sat_source.set_sharing(
-            export=lambda clause, lbd: sat_exported.append(clause)
-        )
-        pigeonhole(sat_source, 4, 4)
-        assert sat_source.solve() is not None
-        for clause in sat_exported:
-            sat_twin.import_clause(clause)
-        model = sat_twin.solve()
-        assert model is not None
-        for p in range(4):
-            assert any(model[grid[p][h]] for h in range(4))
+        assert answer_sets(heuristics) == answer_sets(None)
 
-    def test_import_poll_drained_at_restarts(self):
-        source = Solver(restart_base=1, lbd_share_limit=1000)
-        exported = []
-        source.set_sharing(export=lambda clause, lbd: exported.append(clause))
-        pigeonhole(source, 5, 4)
-        source.solve()
+    @pytest.mark.parametrize(
+        "heuristics",
+        [{}, {"restart_base": 32}, {"minimize_learnts": True}],
+        ids=["empty", "restart_base_default", "minimize_default"],
+    )
+    def test_default_enumeration_order(self, heuristics):
+        # not just the same set: the same order, byte for byte
+        def ordered(knobs):
+            solver = StableModelSolver(
+                Control(PROGRAM).ground(), heuristics=knobs
+            )
+            return [frozenset(m.atoms) for m in solver.models()]
 
-        inbox = [list(exported)]
-        sink = Solver(restart_base=1)
-        sink.set_sharing(
-            import_poll=lambda: [
-                (clause, None) for clause in (inbox.pop() if inbox else [])
-            ]
-        )
-        pigeonhole(sink, 5, 4)
-        assert sink.solve() is None
-        assert sink.statistics["shared_imported"] == len(exported)
-
-    def test_share_limit_zero_exports_only_empty_lbd(self):
-        source = Solver(restart_base=1, lbd_share_limit=0)
-        exported = []
-        source.set_sharing(export=lambda clause, lbd: exported.append(lbd))
-        pigeonhole(source, 5, 4)
-        source.solve()
-        assert all(lbd == 0 for lbd in exported)
-
-    def test_solver_level_import_clauses(self):
-        solver = StableModelSolver(Control(PROGRAM).ground())
-        baseline = {frozenset(m.atoms) for m in solver.models()}
-
-        exporter = StableModelSolver(
-            Control(PROGRAM).ground(),
-            heuristics={"restart_base": 1, "lbd_share_limit": 1000},
-        )
-        shared = []
-        exporter.set_clause_sharing(
-            export=lambda clause, lbd: shared.append((clause, lbd))
-        )
-        list(exporter.models())
-
-        importer = StableModelSolver(Control(PROGRAM).ground())
-        importer.import_clauses(shared)
-        assert {frozenset(m.atoms) for m in importer.models()} == baseline
+        assert ordered(heuristics) == ordered(None)
 
 
 class TestEconomyStatistics:
@@ -242,12 +213,7 @@ class TestEconomyStatistics:
         pigeonhole(solver, 5, 4)
         solver.solve()
         stats = solver.statistics
-        for key in (
-            "lbd_sum",
-            "learnt_deleted",
-            "shared_exported",
-            "shared_imported",
-        ):
+        for key in ("lbd_sum", "learnt_deleted"):
             assert key in stats
         assert stats["lbd_sum"] > 0
 
@@ -268,15 +234,12 @@ class TestEconomyStatistics:
                         "learnt": 4,
                         "lbd_sum": 10,
                         "learnt_deleted": 2,
-                        "shared_exported": 3,
-                        "shared_imported": 1,
                     }
                 }
             }
         )
         assert "LBD" in text
         assert "2.50 avg (deleted: 2)" in text
-        assert "3 exported, 1 imported" in text
 
     def test_control_stats_carry_lbd_average(self):
         control = Control(PROGRAM)

@@ -4,11 +4,14 @@ Random small normal logic programs (with negation, choices and positive
 recursion) are solved both by the CDCL-based solver and the brute-force
 reduct checker; the answer-set *sets* must be identical.  This guards the
 completion + loop-nogood machinery, the most subtle part of the engine.
+The same oracle pins the ``Control`` query surface under assumptions:
+``first_model``/``is_satisfiable`` verdicts and witnesses, and every
+assumption core ``unsat_core`` reports.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.asp import Control, parse_program
+from repro.asp import Control, atom, parse_program
 from repro.asp.grounder import ground_program
 from repro.asp.naive import is_stable_model, stable_models
 from repro.asp.solver import StableModelSolver
@@ -70,6 +73,46 @@ def test_every_cdcl_model_is_stable(text):
     program = ground_program(parse_program(text))
     for model in StableModelSolver(program).models():
         assert is_stable_model(program, set(model.atoms))
+
+
+#: up to three (atom name, polarity) assumptions per query
+assumption_sets = st.lists(
+    st.tuples(st.sampled_from(ATOMS), st.booleans()), max_size=3
+)
+
+
+def _consistent(model, assumptions):
+    return all((target in model) == value for target, value in assumptions)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    random_programs(),
+    st.lists(assumption_sets, min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_control_queries_match_bruteforce(text, queries, multishot):
+    """Successive assumption queries on one control (fresh solver per
+    call, or the persistent multishot one) agree with the oracle: a
+    witness exactly when one exists, every witness stable and
+    consistent, and every reported core itself unsatisfiable."""
+    brute = stable_models(ground_program(parse_program(text)))
+    control = Control(text, multishot=multishot)
+    for names in queries:
+        assumptions = [(atom(name), value) for name, value in names]
+        expected = {m for m in brute if _consistent(m, assumptions)}
+        model = control.first_model(assumptions)
+        context = "program:\n%s\nassumptions=%s" % (text, names)
+        if model is None:
+            assert not expected, context
+            core = control.unsat_core
+            if core is not None:
+                assert not any(_consistent(m, core) for m in brute), (
+                    "%s\ncore=%s" % (context, core)
+                )
+        else:
+            assert frozenset(model.atoms) in expected, context
+        assert control.is_satisfiable(assumptions) == bool(expected), context
 
 
 @st.composite

@@ -89,6 +89,11 @@ class TestRejections:
         with pytest.raises(SerializeError):
             loads_ground(b"NOPE" + b"\x00" * 16)
 
+    def test_trailing_bytes_rejected(self):
+        blob = dumps_ground(rich_ground())
+        with pytest.raises(SerializeError, match="trailing"):
+            loads_ground(blob + b"garbage")
+
     def test_provenance_programs_refused(self):
         grounder = Grounder(parse_program("a. b :- a."), provenance=True)
         program = grounder.ground()
@@ -121,3 +126,13 @@ class TestSharedCache:
     def test_miss_without_blob_raises(self):
         with pytest.raises(KeyError):
             shared_program("0" * 64)
+
+    def test_miss_with_mismatched_blob_rejected(self):
+        digest, _blob = publish(rich_ground())
+        clear_shared_programs()
+        other = dumps_ground(Control("a. b :- a.").ground())
+        with pytest.raises(SerializeError, match="digest"):
+            shared_program(digest, other)
+        # nothing was cached under the claimed digest
+        with pytest.raises(KeyError):
+            shared_program(digest)

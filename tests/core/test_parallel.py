@@ -310,27 +310,23 @@ class TestParallelByteIdentity:
     def test_cube_mode_matches_sequential(self):
         serial = EpaEngine(chain_model(), REQ).analyze(max_faults=2)
         parallel = EpaEngine(
-            chain_model(), REQ, workers=4, parallel_mode="cube"
+            chain_model(), REQ, workers=4, cube_factor=1
         ).analyze(max_faults=2)
         assert self._pairs(parallel) == self._pairs(serial)
 
     def test_scenario_verdict_invariant_across_parallel_mode(self):
         """A pinned scenario is one propagation leaf on the persistent
-        control, whatever ``parallel_mode`` and ``workers`` say: no
-        mode races it, and none may change its verdict."""
+        control, whatever ``workers`` says: no pool width may change
+        its verdict."""
         serial_engine = EpaEngine(chain_model(), REQ)
         report = serial_engine.analyze(max_faults=1)
         target = next(
             o for o in report.outcomes if o.fault_count == 1
         ).active_faults
         serial = serial_engine.analyze_scenario(target)
-        for mode in ("auto", "cube", "portfolio"):
-            engine = EpaEngine(chain_model(), REQ, workers=2, parallel_mode=mode)
+        for workers in (1, 2, 4):
+            engine = EpaEngine(chain_model(), REQ, workers=workers)
             verdict = engine.analyze_scenario(target)
             assert verdict.violated == serial.violated
             assert verdict.severity_rank == serial.severity_rank
             assert verdict.paths == serial.paths
-
-    def test_invalid_parallel_mode_rejected(self):
-        with pytest.raises(EpaError):
-            EpaEngine(chain_model(), REQ, parallel_mode="bogus")

@@ -212,6 +212,11 @@ class TestAggregateFold:
         assert clone.to_dict() == aggregate.to_dict()
         assert "scenarios analyzed" in clone.summary()
 
+    def test_trailing_bytes_rejected(self):
+        blob = ScenarioAggregate(["rv"], {}).dumps()
+        with pytest.raises(AggregateError, match="trailing"):
+            ScenarioAggregate.loads(blob + b"\x00junk")
+
 
 class TestCheckpointResume:
     def test_token_roundtrip(self, tmp_path):
