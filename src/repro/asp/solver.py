@@ -2,8 +2,9 @@
 
 The solver translates the ground program into CNF through Clark's
 completion (plus cardinality/weight circuits for choice bounds and
-aggregates) and searches with the CDCL SAT backend.  For *tight*
-programs the completion is exact.  For non-tight programs (recursion
+aggregates; an integrity constraint ``:- #count{...} > k.`` becomes a
+native at-most-k constraint instead) and searches with the CDCL SAT
+backend.  For *tight* programs the completion is exact.  For non-tight programs (recursion
 through positive bodies) candidate models are checked for unfounded
 atoms; when a greatest-unfounded-set is non-empty the corresponding loop
 nogoods (Lin-Zhao loop formulas) are added lazily and the search
@@ -214,8 +215,12 @@ class StableModelSolver:
         self._sat.add_iff_or(aux, literals)
         return aux
 
-    def _aggregate_literal(self, aggregate: GroundAggregate) -> int:
-        # Group elements by term tuple (ASP set semantics).
+    def _aggregate_tuples(
+        self, aggregate: GroundAggregate
+    ) -> Tuple[List[Tuple], Dict[Tuple, int]]:
+        """The aggregate's term tuples in first-seen order, each with a
+        literal true iff any of its conditions holds (ASP set
+        semantics: a tuple counts once however many conditions hold)."""
         tuple_conditions: Dict[Tuple, List[int]] = {}
         tuple_order: List[Tuple] = []
         for element in aggregate.elements:
@@ -232,6 +237,10 @@ class StableModelSolver:
             key: self._disjunction(conditions)
             for key, conditions in tuple_conditions.items()
         }
+        return tuple_order, tuple_vars
+
+    def _aggregate_literal(self, aggregate: GroundAggregate) -> int:
+        tuple_order, tuple_vars = self._aggregate_tuples(aggregate)
         if aggregate.function in ("#count", "#sum"):
             literal = self._count_sum_literal(aggregate, tuple_order, tuple_vars)
         elif aggregate.function in ("#min", "#max"):
@@ -307,6 +316,15 @@ class StableModelSolver:
         for atom in self._program.possible_atoms:
             self._var(atom)
         for rule in self._program.rules:
+            bounded = _count_bound(rule)
+            if bounded is not None:
+                # ":- #count{...} > k." is "at most k tuples": the SAT
+                # layer propagates it natively, without a counter circuit
+                tuple_order, tuple_vars = self._aggregate_tuples(bounded)
+                self._sat.add_at_most(
+                    [tuple_vars[key] for key in tuple_order], bounded.lower - 1
+                )
+                continue
             body = self._body_literal(rule)
             if rule.head is None:
                 self._sat.add_clause([-body])
@@ -1137,6 +1155,22 @@ class _CostLevel:
                     total += weight
                     break
         return total
+
+
+def _count_bound(rule: GroundRule) -> Optional[GroundAggregate]:
+    """The aggregate of an integrity constraint whose whole body is one
+    non-negated ``#count`` with only a lower guard, else ``None``."""
+    if rule.head is not None or rule.pos or rule.neg or len(rule.aggregates) != 1:
+        return None
+    aggregate = rule.aggregates[0]
+    if (
+        aggregate.function != "#count"
+        or aggregate.negated
+        or aggregate.lower is None
+        or aggregate.upper is not None
+    ):
+        return None
+    return aggregate
 
 
 def _element_weight(terms: Tuple, aggregate: GroundAggregate) -> int:

@@ -66,6 +66,16 @@ class TestScenarioEnumeration:
         report = engine.analyze(max_faults=1)
         assert len(report) == 10
 
+    def test_scenario_bound_builds_no_counter(self):
+        """The ``max_faults`` bound is a native SAT constraint: the
+        encoding has exactly as many variables as the unbounded one."""
+        variables = []
+        for max_faults in (0, 2):
+            engine = EpaEngine(chain_model(), REQ)
+            engine.analyze(max_faults=max_faults)
+            variables.append(engine.statistics["solving"]["variables"])
+        assert variables[0] == variables[1]
+
     def test_empty_scenario_is_safe(self):
         engine = EpaEngine(chain_model(), REQ)
         report = engine.analyze(max_faults=1)
