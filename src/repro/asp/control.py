@@ -26,10 +26,11 @@ grounder and solver events; the default sink is a no-op.  ``ground``,
 ``solve`` and ``optimize`` run inside hierarchical
 :class:`~repro.observability.Span`\\ s (``control.ground`` /
 ``control.solve`` / ``control.optimize``), each closing into a
-begin/end event pair on the sink, and feed the process-wide
-:class:`~repro.observability.MetricsRegistry`
-(``repro_solve_calls_total``, ``repro_models_total``,
-``repro_conflicts_total``, ``repro_stage_seconds{stage=...}``, ...).
+begin/end event pair on the sink, and observe their latency in the
+process-wide ``repro_stage_seconds{stage=ground|solve}`` histogram.
+Counted facts (calls, models, conflicts, ground rules, cache traffic)
+live in the statistics tree only; ``--metrics`` derives its counters
+from it.
 
 Grounding is cached twice: per-control until the program text changes,
 and in a process-wide LRU keyed by the rendered program text, so the EPA
@@ -94,38 +95,15 @@ def clear_ground_cache() -> None:
     _GROUND_CACHE.clear()
 
 
-# process-wide metric handles (the registry zeroes in place on reset,
-# so caching at import time is safe)
+# stage latency histograms (the registry zeroes in place on reset, so
+# caching at import time is safe); every counted fact of a call lives
+# in the statistics tree instead
 _METRICS = get_registry()
-_SOLVE_CALLS = _METRICS.counter(
-    "repro_solve_calls_total", "solve/optimize calls issued"
-)
-_MODELS = _METRICS.counter("repro_models_total", "stable models enumerated")
-_CONFLICTS = _METRICS.counter("repro_conflicts_total", "CDCL conflicts analyzed")
-_GROUND_RULES = _METRICS.counter(
-    "repro_ground_rules_total", "ground rules produced (cache misses only)"
-)
-_GROUND_CACHE_HITS = _METRICS.counter(
-    "repro_ground_cache_hits_total", "process-wide ground-cache hits"
-)
-_GROUND_CACHE_MISSES = _METRICS.counter(
-    "repro_ground_cache_misses_total", "process-wide ground-cache misses"
-)
-_PROVENANCE_RULES = _METRICS.counter(
-    "repro_provenance_rules_recorded_total",
-    "ground rules with a recorded non-ground origin",
-)
 _SOLVE_SECONDS = _METRICS.histogram(
     "repro_stage_seconds", "per-stage wall-clock latency", stage="solve"
 )
 _GROUND_SECONDS = _METRICS.histogram(
     "repro_stage_seconds", "per-stage wall-clock latency", stage="ground"
-)
-_SAT_LEARNT_DELETED = _METRICS.counter(
-    "repro_sat_learnt_deleted_total", "learnt clauses deleted by reduce-DB"
-)
-_SAT_LBD_AVG = _METRICS.gauge(
-    "repro_sat_lbd_avg", "average literal block distance of learnt clauses"
 )
 
 
@@ -315,7 +293,6 @@ class Control:
                     _GROUND_CACHE.move_to_end(key)
                     self._ground, grounding_stats = cached
                     self._stats.incr("grounding.cache.hits")
-                    _GROUND_CACHE_HITS.inc()
                 else:
                     grounder = Grounder(
                         self._program,
@@ -325,12 +302,6 @@ class Control:
                     self._ground = grounder.ground()
                     grounding_stats = grounder.statistics
                     self._stats.incr("grounding.cache.misses")
-                    _GROUND_CACHE_MISSES.inc()
-                    _GROUND_RULES.inc(grounding_stats.get("rules", 0))
-                    if self._provenance:
-                        _PROVENANCE_RULES.inc(
-                            grounding_stats.get("provenance_rules", 0)
-                        )
                     if shareable:
                         _GROUND_CACHE[key] = (self._ground, grounding_stats)
                         if len(_GROUND_CACHE) > _GROUND_CACHE_CAPACITY:
@@ -493,8 +464,6 @@ class Control:
     ) -> None:
         """Fold one solve call's solver statistics into the tree."""
         snapshot = _copy_stats(solver.statistics)
-        _SOLVE_CALLS.inc()
-        _MODELS.inc(models)
         _SOLVE_SECONDS.observe(elapsed)
         # sizes describe the latest encoding — overwrite, don't sum
         variables = snapshot.pop("variables")
@@ -505,16 +474,13 @@ class Control:
             previous = self._solver_snapshot
             self._solver_snapshot = snapshot
             snapshot = _stats_delta(snapshot, previous)
-        delta_solvers = snapshot.get("solvers", {})
-        _CONFLICTS.inc(delta_solvers.get("conflicts", 0))
-        _SAT_LEARNT_DELETED.inc(delta_solvers.get("learnt_deleted", 0))
         solving = self._stats.child("solving")
         solving.merge(snapshot)
         solving["variables"] = variables
         solving["tight"] = tight
         # lbd_avg is derived, not summable: recompute over the merged
         # cumulative counters after every record
-        _SAT_LBD_AVG.set(finalize_solver_stats(solving.child("solvers")))
+        finalize_solver_stats(solving.child("solvers"))
         self._stats.incr("summary.calls")
         self._stats.incr("summary.models.enumerated", models)
         self._stats.incr("summary.models.optimal", optimal)

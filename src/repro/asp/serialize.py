@@ -302,11 +302,21 @@ def loads_ground(blob: bytes) -> GroundProgram:
 
     Decoding re-enters the term/atom intern caches, so atoms decoded in
     a worker compare equal (and identical) to atoms the worker grounds
-    itself.  Raises :class:`SerializeError` on a bad magic header or
-    on bytes left over after the last field.
+    itself.  Raises :class:`SerializeError` on a bad magic header, on
+    bytes left over after the last field, and on a field that does not
+    decode (a truncated varint, a pool index out of range, invalid
+    UTF-8).  The format carries no checksum: a flip that still decodes
+    yields a different program.
     """
     if blob[:4] != MAGIC:
         raise SerializeError("not an RGP1 ground-program blob")
+    try:
+        return _decode_ground(blob)
+    except (IndexError, UnicodeDecodeError) as error:
+        raise SerializeError("corrupt RGP1 blob: %s" % error) from error
+
+
+def _decode_ground(blob: bytes) -> GroundProgram:
     reader = _Reader(blob)
     reader.pos = 4
 

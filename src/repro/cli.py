@@ -29,13 +29,15 @@ flag set: ``--stats`` appends a clingo-style statistics summary block
 streams solver span/event traffic to ``FILE`` (``-`` for
 human-readable lines on stderr), with ``--trace-format chrome``
 switching from JSON lines to Chrome trace-event JSON loadable in
-Perfetto; ``--metrics FILE`` dumps the process-wide metrics registry
-in Prometheus text exposition format (``-`` for stdout); ``--profile
+Perfetto; ``--metrics FILE`` writes Prometheus text exposition
+(``-`` for stdout): the counters derived from the run's statistics
+tree plus the process registry's histograms and gauges; ``--profile
 FILE`` wraps the run in :mod:`cProfile` and dumps the stats file.  See
 ``docs/observability.md``.  They also take ``--workers N`` to shard
 the scenario sweeps over a process pool — results are identical to a
-sequential run, and worker trace events/metrics are folded back tagged
-``worker=<i>`` (see ``docs/performance.md``), and ``--cube-factor K``
+sequential run, worker statistics merge into the run's tree and worker
+trace events are folded back tagged ``worker=<i>`` (see
+``docs/performance.md``), and ``--cube-factor K``
 to oversubscribe the cube split (default 4 cubes per worker, also via
 ``REPRO_CUBE_FACTOR``).  ``analyze --stream`` switches to the
 bounded-memory streaming sweep (``--checkpoint FILE`` makes it
@@ -269,7 +271,7 @@ def _finish_solving_command(
         run.profiler.disable()
         run.profiler.dump_stats(args.profile)
     if getattr(args, "metrics", None):
-        write_metrics(get_registry(), args.metrics)
+        write_metrics(run.stats, args.metrics)
     trace = getattr(args, "trace", None)
     trace_file = trace if trace and trace != "-" else None
     if getattr(args, "manifest", None):
@@ -720,8 +722,9 @@ def build_parser() -> argparse.ArgumentParser:
     observability.add_argument(
         "--metrics",
         metavar="FILE",
-        help="write the run's metrics registry in Prometheus text "
-        "exposition format to FILE ('-' for stdout)",
+        help="write the run's metrics in Prometheus text exposition "
+        "format to FILE ('-' for stdout): counters derived from the "
+        "--stats tree plus the registry's histograms and gauges",
     )
     observability.add_argument(
         "--profile",
@@ -735,8 +738,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="shard scenario sweeps over N worker processes "
-        "(results are identical to a sequential run; worker trace "
-        "events and metrics fold back tagged worker=<i>)",
+        "(results are identical to a sequential run; worker statistics "
+        "merge into --stats/--metrics and worker trace events fold back "
+        "tagged worker=<i>)",
     )
     observability.add_argument(
         "--cube-factor",

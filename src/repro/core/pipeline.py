@@ -33,7 +33,7 @@ from ..mitigation.optimizer import (
 )
 from ..modeling.model import SystemModel
 from ..modeling.validation import ValidationReport, validate
-from ..observability import NULL_SINK, SolveStats, Tracer
+from ..observability import NULL_SINK, SolveStats, Tracer, finalize_solver_stats
 from ..observability.metrics import get_registry
 from ..risk.assessment import (
     RiskRegister,
@@ -387,6 +387,11 @@ class AssessmentPipeline:
                 hazards=len(report.violating()),
             )
 
+        # the merged phase trees summed their lbd_avg quotients: derive
+        # the run's average afresh from the summed counters
+        solvers = stats.get_path("solving.solvers")
+        if isinstance(solvers, SolveStats):
+            finalize_solver_stats(solvers)
         return AssessmentResult(
             model,
             validation,

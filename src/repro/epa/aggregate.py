@@ -41,9 +41,8 @@ import tempfile
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..asp.serialize import SerializeError, _Reader, _write_uint
-from ..observability.metrics import get_registry
 from ..risk.assessment import frequency_of_simultaneous, magnitude_of_violations
-from .faults import FaultRef
+from .faults import FaultRef, FaultTaxonomyError
 from .results import EpaReport, ScenarioOutcome
 
 AGGREGATE_MAGIC = b"RAG1"
@@ -58,12 +57,6 @@ _CHECKSUM_BYTES = 32
 #: pathological model cannot turn the one unbounded structure of the
 #: aggregate back into a memory wall
 DEFAULT_MAX_MINIMAL_SETS = 4096
-
-#: every outcome folded into a streaming aggregate, process-wide
-_STREAM_MODELS = get_registry().counter(
-    "repro_stream_models_total",
-    "stable models folded into streaming scenario aggregates",
-)
 
 
 class AggregateError(ValueError):
@@ -136,7 +129,6 @@ class ScenarioAggregate:
     # ------------------------------------------------------------------
     def add(self, outcome: ScenarioOutcome) -> None:
         """Fold one scenario outcome and forget it."""
-        _STREAM_MODELS.inc()
         self.scenarios += 1
         count = outcome.fault_count
         self.fault_count_hist[count] = self.fault_count_hist.get(count, 0) + 1
@@ -406,8 +398,19 @@ class ScenarioAggregate:
 
     @classmethod
     def loads(cls, data: bytes) -> "ScenarioAggregate":
+        """Decode a :meth:`dumps` blob.  Raises :class:`AggregateError`
+        on a wrong magic, trailing bytes, or a field that does not
+        decode; a flip that still decodes yields a different aggregate
+        (RAG1 carries no checksum)."""
         if data[: len(AGGREGATE_MAGIC)] != AGGREGATE_MAGIC:
             raise AggregateError("not an RAG1 aggregate blob")
+        try:
+            return cls._decode(data)
+        except (IndexError, UnicodeDecodeError, FaultTaxonomyError) as error:
+            raise AggregateError("corrupt RAG1 blob: %s" % error) from error
+
+    @classmethod
+    def _decode(cls, data: bytes) -> "ScenarioAggregate":
         reader = _Reader(data)
         reader.pos = len(AGGREGATE_MAGIC)
         requirements = []

@@ -39,8 +39,12 @@ Parallel solving: ``workers=N`` shards :meth:`EpaEngine.analyze` and
 (:class:`~repro.parallel.WorkStealingPool`).  The parent publishes the
 multi-shot ground program (RGP1) and a solver template, which forked
 workers inherit copy-on-write; each worker runs the kernel on its cube
-under the parent's external assignment and ships partial results back.
-Cubes partition the scenario space, so the merged result equals a
+under the parent's external assignment and ships partial results back,
+then returns one ``(stats, events)`` envelope: its solver statistics
+delta, merged into :attr:`EpaEngine.statistics` by
+:meth:`~repro.observability.SolveStats.merge` alone, and its trace
+events, replayed tagged ``worker=<i>``.  Cubes partition the scenario
+space, so the merged result — and the model count — equals a
 sequential run (see ``docs/parallelism.md``).
 """
 
@@ -66,6 +70,7 @@ from typing import (
 import networkx as nx
 
 from ..asp import Control, Model, atom
+from ..asp.control import _copy_stats, _stats_delta
 from ..asp.cubes import linear_cubes, order_by_occurrence, resolve_cube_factor
 from ..asp.sat import TRUE
 from ..asp.serialize import publish, shared_program
@@ -79,7 +84,7 @@ from ..observability import (
     finalize_solver_stats,
 )
 from ..observability.health import default_on_stall
-from ..observability.metrics import get_registry, record_peak_rss
+from ..observability.metrics import record_peak_rss
 from ..observability.progress import ProgressTracker
 from ..modeling.model import SystemModel
 from ..modeling.to_asp import to_asp_program
@@ -674,12 +679,11 @@ class EpaEngine:
             for target, value in control.externals.items()
             if value is not None
         ]
-        subprocess_mode = workers > 1 and len(pending) > 1
         # fork workers inherit the published context; only spawn
         # workers need the blob to rebuild it
         shipped_blob = (
             blob
-            if subprocess_mode and pool.start_method != "fork"
+            if workers > 1 and len(pending) > 1 and pool.start_method != "fork"
             else None
         )
         payloads = [
@@ -697,7 +701,6 @@ class EpaEngine:
                 "aggregate_requirements": names,
                 "magnitudes": magnitudes,
                 "max_minimal_sets": max_minimal_sets,
-                "subprocess": subprocess_mode,
             }
             for cube_id in pending
         ]
@@ -774,11 +777,8 @@ class EpaEngine:
             )
         except ParallelError as error:
             raise EpaError("sharded EPA sweep failed: %s" % error) from error
-        registry = get_registry()
         lanes = pool.last_assignments
-        for position, (_none, shard_stats, events, metrics) in enumerate(
-            envelopes
-        ):
+        for position, (shard_stats, events) in enumerate(envelopes):
             self._stats.merge(shard_stats)
             # replay the shard's trace stream on the parent sink, tagged
             # with the worker lane it actually ran in
@@ -786,8 +786,6 @@ class EpaEngine:
                 payload = dict(event_payload)
                 payload.setdefault("worker", lanes.get(position, position))
                 self._trace.emit(name, **payload)
-            if metrics:
-                registry.merge(metrics)
         result = assemble()
         snapshot()
         self._stats.incr(
@@ -1227,10 +1225,6 @@ def _cube_context(
     return context
 
 
-#: the learnt-clause-economy counters a fallback cube ships home
-_ECONOMY_KEYS = ("learnt", "lbd_sum", "learnt_deleted")
-
-
 class _Shipper:
     """A cube worker's sink: ships results to the parent as it goes.
 
@@ -1281,32 +1275,24 @@ class _Shipper:
 
 def _cube_worker(
     payload: Dict[str, object]
-) -> Tuple[
-    None,
-    Dict[str, object],
-    List[Tuple[str, float, Dict[str, object]]],
-    Dict[str, object],
-]:
+) -> Tuple[Dict[str, object], List[Tuple[str, float, Dict[str, object]]]]:
     """Run the kernel's search on one cube, shipping results as found.
 
     Runs in a pool worker (in-process when the pool degenerates to one
     task): looks up the published context, runs :func:`_project` under
     the parent's external assignment plus the cube, streaming into a
-    :class:`_Shipper`, and returns the envelope ``(None, stats, trace
-    events, metrics snapshot)``.  The parent replays the events on its
-    own sink tagged ``worker=<i>`` and folds the metrics into its
-    process-wide registry, so ``--trace`` and ``--metrics`` compose with
-    ``--workers N``.  A fallback enumerates on a fresh CDCL solver over
-    the same published program.
+    :class:`_Shipper`, and returns the envelope ``(stats, trace
+    events)``.  ``stats`` is the cube's solver statistics delta — the
+    published solver's plus any fallback's — in the shape
+    :meth:`~repro.asp.Control._record_solve` folds per call, so the
+    parent's one merge (:meth:`~repro.observability.SolveStats.merge`)
+    makes ``--stats`` and ``--metrics`` compose with ``--workers N``;
+    the parent replays the events on its own sink tagged ``worker=<i>``.
+    A fallback enumerates on a fresh CDCL solver over the same
+    published program.
     """
-    registry = get_registry()
-    if payload["subprocess"]:
-        # pool workers persist across tasks: zero the child's registry
-        # so each envelope carries exactly this cube's metrics.  In the
-        # in-process degenerate case the parent registry must survive;
-        # metrics are then already in place and the envelope ships none.
-        registry.reset()
     solver, probes = _cube_context(payload)
+    before = _copy_stats(solver.statistics)
     cube = payload["cube"]
     sink = _Shipper(payload)
     references: List[StableModelSolver] = []
@@ -1342,14 +1328,16 @@ def _cube_worker(
                 },
             )
         )
-    stats: Dict[str, object] = {"solving": {"models": sink.count}}
-    if references:
-        counters = references[0].statistics["solvers"]
-        stats["solving"]["solvers"] = {
-            key: counters[key] for key in _ECONOMY_KEYS
-        }
-    metrics = registry.to_dict() if payload["subprocess"] else {}
-    return None, stats, events, metrics
+    solving = SolveStats(_stats_delta(solver.statistics, before))
+    for fallback in references:
+        solving.merge(fallback.statistics)
+    # encoding sizes describe a solver, not a call: never summed
+    del solving["variables"], solving["tight"]
+    stats = {
+        "solving": solving.to_dict(),
+        "summary": {"calls": 1, "models": {"enumerated": solving["models"]}},
+    }
+    return stats, events
 
 
 def _sweep_digest(

@@ -239,7 +239,9 @@ def scenario_proof(
     faults that survive the deployment are pinned active, every other
     potential fault is pinned inactive, and the (unique) stable model
     is justified.  Uses a fresh provenance-tracking control — the
-    engine's incremental controls are untouched.
+    engine's incremental controls are untouched — and folds its solve
+    into :attr:`EpaEngine.statistics`, like every solve the engine
+    issues.
     """
     deployment = {
         component: tuple(ms)
@@ -256,6 +258,7 @@ def scenario_proof(
         for ref in engine._potential_faults(deployment)
     ]
     model = control.first_model(assumptions=assumptions)
+    engine._stats.merge(control.statistics)
     if model is None:
         raise ValueError("scenario program unexpectedly unsatisfiable")
     return ScenarioProof(control, model, control.justify(model))

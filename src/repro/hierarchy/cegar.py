@@ -18,8 +18,8 @@ Observability: pass ``stats=`` a
 :func:`cegar_loop`; each iteration records its analysis wall-clock time
 and candidate/confirmed/spurious counts under the ``cegar`` section and
 runs inside a ``cegar.iteration`` span (a begin/end event pair carrying
-the counts), incrementing ``repro_cegar_iterations_total`` in the
-process-wide metrics registry.
+the counts).  ``--metrics`` renders ``repro_cegar_iterations_total``
+from the ``cegar.iterations`` count.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..epa.results import EpaReport, ScenarioOutcome
 from ..observability import NULL_SINK, SolveStats, Timer, Tracer
-from ..observability.metrics import get_registry
 from ..parallel import parallel_map
 
 
@@ -128,9 +127,6 @@ def cegar_loop(
         raise CegarError("need at least one iteration")
     sink = trace if trace is not None else NULL_SINK
     tracer = Tracer(sink)
-    cegar_iterations = get_registry().counter(
-        "repro_cegar_iterations_total", "CEGAR refinement iterations run"
-    )
     iterations: List[CegarIteration] = []
     current = analysis
     for level in range(1, max_iterations + 1):
@@ -149,7 +145,6 @@ def cegar_loop(
                 else:
                     iteration.spurious.append(outcome)
             iterations.append(iteration)
-            cegar_iterations.inc()
             if stats is not None:
                 stats.incr("cegar.iterations")
                 stats.incr("cegar.candidates", iteration.candidate_count)

@@ -30,7 +30,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 from ..asp import Control
 from ..observability import NULL_SINK, SolveStats, Tracer
-from ..observability.metrics import get_registry
 from ..parallel import ParallelError, parallel_map
 from ..provenance import minimize_core
 from .costs import risk_weight
@@ -194,10 +193,6 @@ def optimize_asp(
     grounder/solver events including per-improvement ``solver.bound``.
     """
     tracer = Tracer(trace if trace is not None else NULL_SINK)
-    get_registry().counter(
-        "repro_mitigation_optimize_calls_total",
-        "exact ASP mitigation optimizations run",
-    ).inc()
     with tracer.span("mitigation.optimize", budget=budget) as span:
         control, names, scenario_names = _problem_control(problem, trace=trace)
         if budget is None:
@@ -250,10 +245,6 @@ def optimality_core(
     requirement set admits a sub-``cost`` plan.
     """
     tracer = Tracer(trace if trace is not None else NULL_SINK)
-    get_registry().counter(
-        "repro_mitigation_optimality_cores_total",
-        "optimality unsat-core queries answered",
-    ).inc()
     with tracer.span("mitigation.optimality_core", cost=cost) as span:
         control, _names, scenario_names = _problem_control(
             problem, trace=trace, multishot=True

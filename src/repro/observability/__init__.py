@@ -7,17 +7,20 @@ instead of being a black box:
 
 * :class:`SolveStats` — a nested, clingo-``statistics``-compatible tree
   with ``grounding`` / ``solving`` / ``summary`` sections, dotted-path
-  accessors, recursive merge and JSON serialization;
-* :class:`Timer` / :class:`Counter` — low-overhead stage timing;
+  accessors, recursive merge and JSON serialization: the one store of
+  every counted fact of a run, across worker processes too;
+* :class:`Timer` — low-overhead stage timing;
 * :class:`TraceSink` and friends — a pluggable event stream (no-op
   default, JSON-lines, human-readable, in-memory, Chrome trace);
 * :class:`Tracer` / :class:`Span` — hierarchical spans with
   context-var parent propagation, closing into begin/end event pairs
   on any sink;
-* :class:`MetricsRegistry` — process-wide counters, gauges and
-  histograms (:func:`get_registry`), foldable across worker processes;
+* :class:`MetricsRegistry` — process-wide histograms, live gauges and
+  the counters of components that own no statistics tree
+  (:func:`get_registry`);
 * :mod:`~repro.observability.export` — Chrome trace-event JSON
-  (Perfetto), Prometheus text exposition, JSON run manifests, and
+  (Perfetto), Prometheus text exposition (the counters derived from a
+  run's statistics tree plus the registry), JSON run manifests, and
   Graphviz DOT / JSON renderings of provenance proof DAGs
   (:func:`proof_to_dot`, :func:`proof_to_json`);
 * :func:`format_statistics` — the clingo-style terminal summary block
@@ -91,7 +94,7 @@ from .stats import (
     finalize_solver_stats,
     format_statistics,
 )
-from .timing import Counter, Timer
+from .timing import Timer
 from .trace import (
     NULL_SINK,
     HumanTraceSink,
@@ -105,7 +108,6 @@ from .trace import (
 
 __all__ = [
     "ChromeTraceSink",
-    "Counter",
     "DEFAULT_BUCKETS",
     "DEFAULT_STALL_TIMEOUT_S",
     "Gauge",

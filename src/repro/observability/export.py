@@ -12,7 +12,9 @@ Spans and events become artifacts other tools already understand:
     (``tid``) assignments, so a ``--workers N`` run renders as N
     parallel lanes.
 :func:`prometheus_exposition` / :func:`write_metrics`
-    the Prometheus text exposition format (version 0.0.4) over a
+    the Prometheus text exposition format (version 0.0.4) of one run:
+    the counters :data:`DERIVED_METRICS` mirrors from its statistics
+    tree plus the instruments of a
     :class:`~repro.observability.MetricsRegistry` — counters, gauges,
     and cumulative-bucket histograms with ``_sum``/``_count``.
 :func:`run_manifest`
@@ -27,7 +29,7 @@ Spans and events become artifacts other tools already understand:
     relies on.
 
 Everything here is pure serialization: no exporter mutates the
-registry or the event stream it reads.
+statistics tree, registry or event stream it reads.
 """
 
 from __future__ import annotations
@@ -38,9 +40,11 @@ import platform
 import subprocess
 import sys
 import time
-from typing import Any, Dict, IO, Iterable, List, Mapping, Optional, Union
+from itertools import chain
+from typing import Any, Dict, IO, Iterable, List, Mapping, Optional, Tuple, Union
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, get_registry
+from .stats import SolveStats
 from .trace import TraceEvent, TraceSink
 
 
@@ -148,20 +152,95 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def prometheus_exposition(registry: MetricsRegistry) -> str:
-    """Render a registry in the Prometheus text exposition format.
+#: counters (and one gauge) mirrored from a run's statistics tree:
+#: metric name -> (kind, help, stats paths summed).  The tree is the
+#: only store of these facts.  Series of the ASP core (paths under
+#: :data:`_CORE_SECTIONS`) render for every tree, 0 when nothing was
+#: counted; the others render when CEGAR, the mitigation optimizer or
+#: the cube pool ran, i.e. when one of their paths is present.
+DERIVED_METRICS: Dict[str, Tuple[str, str, Tuple[str, ...]]] = {
+    "repro_cegar_iterations_total": (
+        "counter", "CEGAR refinement iterations run", ("cegar.iterations",)),
+    "repro_conflicts_total": (
+        "counter", "CDCL conflicts analyzed", ("solving.solvers.conflicts",)),
+    "repro_ground_cache_hits_total": (
+        "counter", "process-wide ground-cache hits", ("grounding.cache.hits",)),
+    "repro_ground_cache_misses_total": (
+        "counter", "process-wide ground-cache misses",
+        ("grounding.cache.misses",)),
+    "repro_ground_rules_total": (
+        "counter", "ground rules of every grounding", ("grounding.rules",)),
+    "repro_mitigation_optimality_cores_total": (
+        "counter", "optimality unsat-core queries answered",
+        ("mitigation.optimality_cores",)),
+    "repro_mitigation_optimize_calls_total": (
+        "counter", "exact ASP mitigation optimizations run",
+        ("mitigation.optimize_calls",)),
+    "repro_models_total": (
+        "counter", "stable models enumerated", ("summary.models.enumerated",)),
+    "repro_parallel_cubes_total": (
+        "counter", "tasks (cubes) completed by the work-stealing pool",
+        ("epa.aggregate.cubes", "epa.parallel.shards")),
+    "repro_provenance_rules_recorded_total": (
+        "counter", "ground rules with a recorded non-ground origin",
+        ("grounding.provenance_rules",)),
+    "repro_sat_lbd_avg": (
+        "gauge", "average literal block distance of learnt clauses",
+        ("solving.solvers.lbd_avg",)),
+    "repro_sat_learnt_deleted_total": (
+        "counter", "learnt clauses deleted by reduce-DB",
+        ("solving.solvers.learnt_deleted",)),
+    "repro_solve_calls_total": (
+        "counter", "solve/optimize calls issued", ("summary.calls",)),
+}
 
+#: the statistics sections every solving run's tree reports
+_CORE_SECTIONS = ("grounding", "solving", "summary")
+
+
+def derived_metrics(stats: Optional[Mapping[str, Any]]) -> Dict[str, float]:
+    """The :data:`DERIVED_METRICS` values a statistics tree yields
+    (none without a tree)."""
+    if stats is None:
+        return {}
+    tree = stats if isinstance(stats, SolveStats) else SolveStats(stats)
+    values: Dict[str, float] = {}
+    for name, (_kind, _help, paths) in DERIVED_METRICS.items():
+        found = [tree.get_path(path) for path in paths]
+        present = [value for value in found if value is not None]
+        if present or paths[0].split(".")[0] in _CORE_SECTIONS:
+            values[name] = sum(present)
+    return values
+
+
+def prometheus_exposition(
+    stats: Optional[Mapping[str, Any]],
+    registry: Optional[MetricsRegistry] = None,
+) -> str:
+    """Render a run in the Prometheus text exposition format.
+
+    The counters of :data:`DERIVED_METRICS` come from ``stats`` (the
+    run's statistics tree; ``None`` renders none of them), every other
+    series from ``registry`` (default: the process-wide one).
     Deterministic: metric families sort by name, series by label set;
     histogram buckets expose cumulative counts with a closing
     ``le="+Inf"`` bucket equal to ``_count``, per the format spec.
     """
+    registry = registry if registry is not None else get_registry()
+    derived = MetricsRegistry()
+    for name, value in derived_metrics(stats).items():
+        kind, help_text, _paths = DERIVED_METRICS[name]
+        getattr(derived, kind)(name, help_text).value = value
     lines: List[str] = []
     seen_header: set = set()
-    for metric in registry.collect():
+    for metric in sorted(
+        chain(registry.collect(), derived.collect()),
+        key=lambda metric: (metric.name, metric.labels),  # type: ignore[attr-defined]
+    ):
         name = metric.name  # type: ignore[attr-defined]
         if name not in seen_header:
             seen_header.add(name)
-            help_text = registry.help_for(name)
+            help_text = derived.help_for(name) or registry.help_for(name)
             if help_text:
                 lines.append("# HELP %s %s" % (name, help_text))
             lines.append("# TYPE %s %s" % (name, metric.kind))  # type: ignore[attr-defined]
@@ -192,10 +271,14 @@ def prometheus_exposition(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_metrics(registry: MetricsRegistry, spec: Union[str, IO[str]]) -> None:
-    """Write Prometheus text for ``registry`` to a path, stream, or
-    ``"-"`` (stdout)."""
-    text = prometheus_exposition(registry)
+def write_metrics(
+    stats: Optional[Mapping[str, Any]],
+    spec: Union[str, IO[str]],
+    registry: Optional[MetricsRegistry] = None,
+) -> None:
+    """Write :func:`prometheus_exposition` of ``stats`` (plus
+    ``registry``) to a path, stream, or ``"-"`` (stdout)."""
+    text = prometheus_exposition(stats, registry)
     if hasattr(spec, "write"):
         spec.write(text)  # type: ignore[union-attr]
         return

@@ -9,7 +9,9 @@ later: every recorded run owns a directory
     ``.repro/runs/<run_id>/``
         ``manifest.json``   argv, git rev, platform, config digest,
                             result digest, status, duration, counts
-        ``metrics.prom``    the run's metrics registry (Prometheus text)
+        ``metrics.prom``    the run's metrics (Prometheus text): the
+                            counters derived from its statistics tree
+                            plus the process registry's instruments
         ``stats.json``      the solver statistics tree + its digest
         ``trace.json``      the run's trace file, when one was written
 
@@ -54,7 +56,7 @@ import time
 from typing import Any, Dict, List, Mapping, Optional
 
 from .export import prometheus_exposition, run_manifest, stats_digest
-from .metrics import MetricsRegistry, get_registry
+from .metrics import MetricsRegistry
 
 RUNS_DIR_ENV = "REPRO_RUNS_DIR"
 DEFAULT_RUNS_ROOT = os.path.join(".repro", "runs")
@@ -186,7 +188,9 @@ class RunRecorder:
         """Close the run: artifacts, final manifest, ``finished`` line.
 
         ``stats`` (a :class:`~repro.observability.SolveStats` tree or
-        mapping) lands in ``stats.json`` with its digest;
+        mapping) lands in ``stats.json`` with its digest, and its
+        counters are rendered into ``metrics.prom`` next to the
+        registry's instruments;
         ``result_digest`` is the canonical result fingerprint;
         ``trace_file`` (when it exists) is copied into the run
         directory.  Returns the run id.  Idempotent-guarded: a second
@@ -196,14 +200,10 @@ class RunRecorder:
             raise LedgerError("run %s already finished" % self.run_id)
         self._finished = True
         duration = time.perf_counter() - self._started
-        # explicit None check: an empty MetricsRegistry is falsy
-        registry = (
-            self._registry if self._registry is not None else get_registry()
-        )
         with open(
             os.path.join(self.path, METRICS_NAME), "w", encoding="utf-8"
         ) as handle:
-            handle.write(prometheus_exposition(registry))
+            handle.write(prometheus_exposition(stats, self._registry))
         digest = None
         if stats is not None:
             digest = stats_digest(stats)

@@ -1,18 +1,21 @@
 """A process-wide registry of counters, gauges and histograms.
 
-Statistics trees (:mod:`repro.observability.stats`) are *per engine
-instance* and mirror clingo's shape; metrics are *per process* and
-mirror the Prometheus data model, so one scrape (or one
-``--metrics FILE`` dump) summarizes everything the process solved —
-across controls, engines, pipeline phases and (folded back through the
-worker result envelopes of :mod:`repro.parallel`) child processes.
+Statistics trees (:mod:`repro.observability.stats`) are *per run* and
+the one store of every counted solver fact; ``--metrics`` derives the
+Prometheus counters for those facts from the tree
+(:data:`repro.observability.export.DERIVED_METRICS`).  This registry
+holds only what no tree does: histograms (``repro_stage_seconds``,
+provenance core sizes and proof depths), live gauges (progress,
+heartbeat ages, peak RSS) and the counters of components that own no
+tree (pool steals, respawns and busy seconds, worker stalls,
+provenance justifications).
 
 Three instrument kinds, all label-aware:
 
 :class:`Counter`
-    a monotonically increasing total (``repro_models_total``);
+    a monotonically increasing total (``repro_parallel_steals_total``);
 :class:`Gauge`
-    a settable point-in-time value (``repro_workers``);
+    a settable point-in-time value (``repro_peak_rss_bytes``);
 :class:`Histogram`
     cumulative-bucket latency/size distribution with ``sum`` and
     ``count`` (``repro_stage_seconds{stage="solve"}``).
@@ -20,12 +23,8 @@ Three instrument kinds, all label-aware:
 The process-wide default registry is :func:`get_registry`; layers cache
 metric handles at import time, which stays correct because
 :meth:`MetricsRegistry.reset` *zeroes values in place* instead of
-dropping the instruments.  :meth:`MetricsRegistry.to_dict` /
-:meth:`MetricsRegistry.merge` serialize and fold registries
-deterministically — merging the same parts in any order yields the
-same totals (counters and histogram buckets sum; gauges take the
-incoming value), which is what makes cross-worker aggregation
-reproducible.
+dropping the instruments.  Pool workers ship no registry state: the
+parent-side pool owns the cross-worker instruments.
 
 Rendering to Prometheus text exposition lives in
 :mod:`repro.observability.export`.
@@ -33,7 +32,7 @@ Rendering to Prometheus text exposition lives in
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 #: default latency buckets (seconds) — Prometheus-style, sub-ms to 10s
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -71,7 +70,7 @@ LabelKey = Tuple[Tuple[str, str], ...]
 
 
 class MetricsError(Exception):
-    """Raised on kind collisions or malformed merges."""
+    """Raised on kind collisions or malformed instruments."""
 
 
 def _label_key(labels: Mapping[str, object]) -> LabelKey:
@@ -99,15 +98,10 @@ class Counter:
     def _zero(self) -> None:
         self.value = 0.0
 
-    def _state(self) -> Dict[str, Any]:
-        return {"value": self.value}
-
-    def _fold(self, state: Mapping[str, Any]) -> None:
-        self.value += state.get("value", 0.0)
 
 
 class Gauge:
-    """A value that can go up and down (last write wins on merge)."""
+    """A value that can go up and down."""
 
     __slots__ = ("name", "labels", "value")
 
@@ -130,11 +124,6 @@ class Gauge:
     def _zero(self) -> None:
         self.value = 0.0
 
-    def _state(self) -> Dict[str, Any]:
-        return {"value": self.value}
-
-    def _fold(self, state: Mapping[str, Any]) -> None:
-        self.value = state.get("value", 0.0)
 
 
 class Histogram:
@@ -193,27 +182,10 @@ class Histogram:
         self.sum = 0.0
         self.count = 0
 
-    def _state(self) -> Dict[str, Any]:
-        return {
-            "buckets": list(self.buckets),
-            "bucket_counts": list(self.bucket_counts),
-            "sum": self.sum,
-            "count": self.count,
-        }
-
-    def _fold(self, state: Mapping[str, Any]) -> None:
-        if tuple(state.get("buckets", ())) != self.buckets:
-            raise MetricsError(
-                "histogram %r bucket layout mismatch on merge" % self.name
-            )
-        for index, count in enumerate(state.get("bucket_counts", ())):
-            self.bucket_counts[index] += count
-        self.sum += state.get("sum", 0.0)
-        self.count += state.get("count", 0)
 
 
 class MetricsRegistry:
-    """All instruments of one process (or one worker envelope).
+    """All instruments of one process.
 
     Accessors are get-or-create and idempotent: asking for the same
     (name, labels) twice returns the same object, so handles can be
@@ -285,74 +257,12 @@ class MetricsRegistry:
         return self._help.get(name, "")
 
     # ------------------------------------------------------------------
-    # collection / serialization / merge
+    # collection
     # ------------------------------------------------------------------
     def collect(self) -> Iterator[object]:
         """Instruments in canonical (name, labels) order."""
         for key in sorted(self._metrics):
             yield self._metrics[key]
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A deterministic, JSON-safe snapshot (the worker envelope).
-
-        Shape: ``{name: {"kind": ..., "help": ..., "series": [{"labels":
-        {...}, ...state}]}}`` with names and label sets sorted.
-        """
-        result: Dict[str, Any] = {}
-        for metric in self.collect():
-            entry = result.setdefault(
-                metric.name,  # type: ignore[attr-defined]
-                {
-                    "kind": metric.kind,  # type: ignore[attr-defined]
-                    "help": self.help_for(metric.name),  # type: ignore[attr-defined]
-                    "series": [],
-                },
-            )
-            state = metric._state()  # type: ignore[attr-defined]
-            state["labels"] = dict(metric.labels)  # type: ignore[attr-defined]
-            entry["series"].append(state)
-        return result
-
-    def merge(self, other: Mapping[str, Any]) -> "MetricsRegistry":
-        """Fold a :meth:`to_dict` snapshot into this registry, in place.
-
-        Counters and histograms sum; gauges take the incoming value.
-        Order-independent for counters/histograms, so folding worker
-        envelopes in any order produces identical totals.
-        """
-        kinds = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-        for name in sorted(other):
-            entry = other[name]
-            cls = kinds.get(entry.get("kind", ""))
-            if cls is None:
-                raise MetricsError(
-                    "unknown metric kind %r for %r" % (entry.get("kind"), name)
-                )
-            if entry.get("help"):
-                self._register_help(name, entry["help"])
-            for state in entry.get("series", ()):
-                labels = _label_key(state.get("labels", {}))
-                if cls is Histogram:
-                    metric = self._get_histogram_series(name, labels, state)
-                else:
-                    metric = self._get_or_create(cls, name, "", labels)
-                metric._fold(state)  # type: ignore[attr-defined]
-        return self
-
-    def _get_histogram_series(
-        self, name: str, labels: LabelKey, state: Mapping[str, Any]
-    ) -> Histogram:
-        key = (name, labels)
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = Histogram(
-                name, labels, buckets=state.get("buckets", DEFAULT_BUCKETS)
-            )
-            self._check_kind(name, Histogram)
-            self._metrics[key] = metric
-        elif not isinstance(metric, Histogram):
-            raise MetricsError("metric %r is not a histogram" % name)
-        return metric
 
     def reset(self) -> None:
         """Zero every instrument *in place* (cached handles stay live)."""

@@ -1,12 +1,11 @@
-"""Low-overhead wall-clock timers and counters for instrumentation.
+"""Low-overhead wall-clock timers for instrumentation.
 
 The engine's hot paths (unit propagation, the grounding join) cannot
 afford dictionary lookups per event, so the pattern throughout the
 codebase is: count with plain integer attributes inside the hot loop,
 then publish snapshots into a :class:`~repro.observability.SolveStats`
-tree at stage boundaries.  :class:`Timer` wraps those boundaries;
-:class:`Counter` is the named-integer convenience for code that is not
-hot.
+tree at stage boundaries (:meth:`~repro.observability.SolveStats.incr`
+for code that is not hot).  :class:`Timer` wraps those boundaries.
 """
 
 from __future__ import annotations
@@ -62,33 +61,4 @@ class Timer:
         self.stop()
 
 
-class Counter:
-    """A named integer counter with a tiny increment API.
-
-    Convenience for instrumentation outside hot loops (hot loops should
-    bump plain ``int`` attributes instead and snapshot later).
-    """
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: int = 0):
-        self.name = name
-        self.value = value
-
-    def incr(self, amount: int = 1) -> int:
-        """Add ``amount``; returns the new value."""
-        self.value += amount
-        return self.value
-
-    def reset(self) -> None:
-        """Zero the counter."""
-        self.value = 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return "Counter(%r, %d)" % (self.name, self.value)
-
-
-__all__ = ["Counter", "Timer"]
+__all__ = ["Timer"]

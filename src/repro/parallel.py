@@ -20,17 +20,20 @@ sensitivity-analysis factor variations.  Two pool shapes live here:
     elsewhere — work stealing with exact parent-side bookkeeping, which
     is what makes crash recovery precise: when a worker process dies,
     the parent knows exactly which task it held, re-queues it (bounded
-    attempts), and respawns the worker.  Per-task busy seconds, steal
-    counts and cube counts are published to the metrics registry as
+    attempts), and respawns the worker.  Each worker writes to its own
+    result pipe, so a worker killed mid-write tears only its own
+    channel, never a lock the live workers need.  The pool's own
+    facts — per-worker busy seconds, steals and respawns — are
+    published to the metrics registry as
     ``repro_parallel_worker_busy_seconds``, ``repro_parallel_steals_total``
-    and ``repro_parallel_cubes_total``.
+    and ``repro_parallel_respawns_total``.
 
-Workers ship their statistics dictionaries, recorded trace event
-streams and a :meth:`~repro.observability.MetricsRegistry.to_dict`
-snapshot back in the result envelope; the parent merges the statistics
-with :meth:`~repro.observability.SolveStats.merge`, replays the events
-on its own sink tagged ``worker=<i>`` and folds the metrics into the
-process-wide registry — ``--trace``/``--metrics`` compose with ``--workers N``.
+The pool ships task values, not telemetry: callers that want worker
+statistics return them in the task's value (the EPA cube worker ships
+a :class:`~repro.observability.SolveStats` delta plus its trace events,
+which the engine merges with :meth:`~repro.observability.SolveStats.merge`
+and replays tagged ``worker=<i>``) — so ``--stats``, ``--trace`` and
+``--metrics`` compose with ``--workers N``.
 
 Pool-level failures — a worker killed by the OS, unpicklable payloads —
 surface as :class:`ParallelError` instead of a hang, with the
@@ -41,7 +44,7 @@ worker traceback when they crossed a process boundary).
 
 **Streaming result channel.**  A task function may call
 :func:`emit_partial` any number of times before returning: each value is
-pickled and shipped on the pool's result queue immediately, and the
+pickled and shipped on the worker's result pipe immediately, and the
 parent invokes the ``on_partial(task_index, value)`` callback passed to
 :meth:`WorkStealingPool.map` as the messages arrive — the mechanism
 behind bounded-memory streaming sweeps, where workers ship models (or
@@ -52,7 +55,7 @@ is re-queued, so the caller discards the partials the dead attempt
 already shipped; ``on_result(task_index, value)`` fires when a task
 finishes, marking its partials final.  In the in-process degenerate
 case (one worker or one item) :func:`emit_partial` invokes
-``on_partial`` synchronously — same contract, no queue.
+``on_partial`` synchronously — same contract, no pipe.
 """
 
 from __future__ import annotations
@@ -60,12 +63,12 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import pickle
-import queue as queue_module
 import time
 import traceback as traceback_module
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait as connection_wait
 from typing import (
     Callable,
     Dict,
@@ -84,8 +87,8 @@ _Result = TypeVar("_Result")
 #: how many times a task is retried after its worker died mid-execution
 MAX_TASK_ATTEMPTS = 3
 
-#: worker-side channel state: ``(result_queue, task_index, worker_index)``
-#: while a pool worker is executing a task, else ``None``
+#: worker-side channel state: ``(result_pipe, task_index, worker_index,
+#: attempt)`` while a pool worker is executing a task, else ``None``
 _WORKER_CHANNEL = None
 
 #: in-process channel state: ``(on_partial, task_index)`` while the
@@ -98,7 +101,7 @@ def emit_partial(value) -> bool:
 
     Called by the task function; the value reaches the parent's
     ``on_partial(task_index, value)`` callback — immediately via the
-    result queue from a pool worker, synchronously in the degenerate
+    result pipe from a pool worker, synchronously in the degenerate
     in-process case.  Returns ``False`` (value dropped) when no channel
     is open: either the caller is not running under a pool ``map``, or
     the parent did not pass ``on_partial``.  Task functions use the
@@ -107,7 +110,7 @@ def emit_partial(value) -> bool:
     if _WORKER_CHANNEL is not None:
         results, task_index, worker_index, attempt = _WORKER_CHANNEL
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        results.put(("partial", task_index, worker_index, attempt, payload))
+        results.send(("partial", task_index, worker_index, attempt, payload))
         return True
     if _INPROCESS_PARTIAL is not None:
         on_partial, task_index = _INPROCESS_PARTIAL
@@ -185,9 +188,9 @@ def parallel_map(
 def _pool_worker(index, function, tasks, results):
     """Worker-process loop: one task at a time, results pre-pickled.
 
-    Pre-pickling the result in the worker keeps an unpicklable return
-    value from silently dying in the queue's feeder thread (which would
-    hang the parent); it becomes an explicit error message instead.
+    ``results`` is this worker's own result pipe.  Pre-pickling the
+    result keeps an unpicklable return value from failing inside the
+    pipe write; it becomes an explicit error message instead.
     Exceptions raised by ``function`` are shipped with their formatted
     traceback so the parent can re-raise without losing the failing
     frame.
@@ -220,12 +223,12 @@ def _pool_worker(index, function, tasks, results):
             except Exception:
                 error_payload = None
                 trace += "\n(exception %r was not picklable)" % (error,)
-            results.put(("error", task_index, index, error_payload, trace))
+            results.send(("error", task_index, index, error_payload, trace))
             return
         finally:
             _WORKER_CHANNEL = None
         busy = time.perf_counter() - start
-        results.put(("done", task_index, index, busy, payload))
+        results.send(("done", task_index, index, busy, payload))
 
 
 class WorkStealingPool:
@@ -353,10 +356,6 @@ def _run_pool(
 ):
     registry = get_registry()
     health = WorkerHealth(stall_timeout=stall_timeout, on_stall=on_stall)
-    cubes_total = registry.counter(
-        "repro_parallel_cubes_total",
-        "tasks (cubes) completed by the work-stealing pool",
-    )
     steals_total = registry.counter(
         "repro_parallel_steals_total",
         "tasks executed by a worker other than their home worker",
@@ -373,25 +372,31 @@ def _run_pool(
     results: Dict[int, object] = {}
     assignments: Dict[int, int] = {}
 
-    result_queue = context.Queue()
     task_queues = []
     processes = []
+    #: worker index -> read end of its result pipe, while still open
+    readers: Dict[int, object] = {}
     in_flight: Dict[int, Optional[int]] = {}
 
     def spawn(worker_index):
         task_queue = context.Queue()
+        reader, writer = context.Pipe(duplex=False)
         process = context.Process(
             target=_pool_worker,
-            args=(worker_index, function, task_queue, result_queue),
+            args=(worker_index, function, task_queue, writer),
             daemon=True,
         )
         process.start()
+        # the worker holds the only write end: its exit (or death) is
+        # end-of-file on the reader
+        writer.close()
         if worker_index < len(task_queues):
             task_queues[worker_index] = task_queue
             processes[worker_index] = process
         else:
             task_queues.append(task_queue)
             processes.append(process)
+        readers[worker_index] = reader
         in_flight[worker_index] = None
         health.beat(worker_index)
 
@@ -417,6 +422,92 @@ def _run_pool(
             (task_index, attempts[task_index], item)
         )
 
+    def receive(worker_index):
+        """Handle the next message on one worker's pipe; a closed or
+        torn pipe (the worker died, perhaps mid-write) is dropped and
+        left to the liveness sweep."""
+        reader = readers[worker_index]
+        try:
+            message = reader.recv()
+        except (EOFError, OSError):
+            del readers[worker_index]
+            reader.close()
+            return
+        handle(message)
+
+    def handle(message):
+        kind = message[0]
+        # every message a worker ships is a heartbeat
+        health.beat(message[2])
+        if kind == "partial":
+            _, task_index, worker_index, attempt, payload = message
+            # Partials are attempt-tagged and only honoured while their
+            # attempt is the one currently in flight on the emitting
+            # worker; anything else is a stale straggler from a crashed
+            # (or already completed) attempt.
+            if (
+                on_partial is not None
+                and task_index not in results
+                and attempt == attempts[task_index]
+                and in_flight.get(worker_index) == task_index
+            ):
+                on_partial(task_index, pickle.loads(payload))
+        elif kind == "done":
+            _, task_index, worker_index, busy, payload = message
+            results[task_index] = pickle.loads(payload)
+            assignments[task_index] = worker_index
+            in_flight[worker_index] = None
+            if on_result is not None:
+                on_result(task_index, results[task_index])
+            registry.counter(
+                "repro_parallel_worker_busy_seconds",
+                "seconds each pool worker spent executing tasks",
+                worker=worker_index,
+            ).inc(busy)
+            dispatch(worker_index)
+        elif kind == "error":
+            _, task_index, worker_index, error_payload, trace = message
+            carrier = ParallelError(
+                "worker %d raised while evaluating item %d"
+                % (worker_index, task_index),
+                worker_traceback=trace,
+            )
+            if error_payload is None:
+                raise carrier
+            raise pickle.loads(error_payload) from carrier
+        else:  # pragma: no cover - protocol violation
+            raise ParallelError("unknown pool message %r" % (message,))
+
+    def sweep_dead():
+        """Re-queue the task of every dead worker and respawn it."""
+        for worker_index, process in enumerate(processes):
+            if process.is_alive():
+                continue
+            # deliver what the worker wrote before dying (a finished
+            # task must not be re-run) up to the end-of-file that drops
+            # its reader
+            while worker_index in readers and readers[worker_index].poll():
+                receive(worker_index)
+            task_index = in_flight.get(worker_index)
+            if task_index is not None and task_index not in results:
+                # stall telemetry (warning + counter) fires before the
+                # retry/respawn path it explains
+                health.dead(worker_index, task_index, attempts)
+                if attempts[task_index] >= MAX_TASK_ATTEMPTS:
+                    raise ParallelError(
+                        "worker %d died evaluating item %d "
+                        "(%d attempts); giving up"
+                        % (worker_index, task_index, attempts[task_index])
+                    )
+                if on_retry is not None:
+                    on_retry(task_index)
+                pending.appendleft(task_index)
+            in_flight[worker_index] = None
+            if pending or len(results) < len(batch):
+                respawns_total.inc()
+                spawn(worker_index)
+                dispatch(worker_index)
+
     def shutdown():
         for worker_index, process in enumerate(processes):
             if process.is_alive():
@@ -430,7 +521,8 @@ def _run_pool(
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=1.0)
-        result_queue.close()
+        for reader in readers.values():
+            reader.close()
         for task_queue in task_queues:
             task_queue.close()
 
@@ -440,85 +532,16 @@ def _run_pool(
             dispatch(worker_index)
 
         while len(results) < len(batch):
-            try:
-                message = result_queue.get(timeout=0.05)
-            except queue_module.Empty:
-                message = None
-            if message is None:
-                # No result: check for dead workers holding a task.
-                for worker_index, process in enumerate(processes):
-                    if process.is_alive():
-                        continue
-                    task_index = in_flight.get(worker_index)
-                    if task_index is not None and task_index not in results:
-                        # stall telemetry (warning + counter) fires
-                        # before the retry/respawn path it explains
-                        health.dead(worker_index, task_index, attempts)
-                        if attempts[task_index] >= MAX_TASK_ATTEMPTS:
-                            raise ParallelError(
-                                "worker %d died evaluating item %d "
-                                "(%d attempts); giving up"
-                                % (
-                                    worker_index,
-                                    task_index,
-                                    attempts[task_index],
-                                )
-                            )
-                        if on_retry is not None:
-                            on_retry(task_index)
-                        pending.appendleft(task_index)
-                    in_flight[worker_index] = None
-                    if pending or len(results) < len(batch):
-                        respawns_total.inc()
-                        spawn(worker_index)
-                        dispatch(worker_index)
+            ready = connection_wait(list(readers.values()), timeout=0.05)
+            for worker_index in [
+                index for index, reader in readers.items() if reader in ready
+            ]:
+                receive(worker_index)
+            if not ready or len(readers) < len(processes):
+                sweep_dead()
                 # live workers holding a task silently past the stall
                 # timeout get a (once-per-attempt) straggler warning
                 health.check(in_flight, attempts)
-                continue
-            kind = message[0]
-            # every message a worker ships is a heartbeat
-            health.beat(message[2])
-            if kind == "partial":
-                _, task_index, worker_index, attempt, payload = message
-                # Partials are attempt-tagged and only honoured while
-                # their attempt is the one currently in flight on the
-                # emitting worker; anything else is a stale straggler
-                # from a crashed (or already completed) attempt.
-                if (
-                    on_partial is not None
-                    and task_index not in results
-                    and attempt == attempts[task_index]
-                    and in_flight.get(worker_index) == task_index
-                ):
-                    on_partial(task_index, pickle.loads(payload))
-                continue
-            if kind == "done":
-                _, task_index, worker_index, busy, payload = message
-                results[task_index] = pickle.loads(payload)
-                assignments[task_index] = worker_index
-                in_flight[worker_index] = None
-                if on_result is not None:
-                    on_result(task_index, results[task_index])
-                cubes_total.inc()
-                registry.counter(
-                    "repro_parallel_worker_busy_seconds",
-                    "seconds each pool worker spent executing tasks",
-                    worker=worker_index,
-                ).inc(busy)
-                dispatch(worker_index)
-            elif kind == "error":
-                _, task_index, worker_index, error_payload, trace = message
-                carrier = ParallelError(
-                    "worker %d raised while evaluating item %d"
-                    % (worker_index, task_index),
-                    worker_traceback=trace,
-                )
-                if error_payload is None:
-                    raise carrier
-                raise pickle.loads(error_payload) from carrier
-            else:  # pragma: no cover - protocol violation
-                raise ParallelError("unknown pool message %r" % (message,))
         return [results[index] for index in range(len(batch))], assignments
     finally:
         shutdown()

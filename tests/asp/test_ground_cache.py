@@ -114,39 +114,39 @@ def test_format_statistics_shows_index_and_cache_lines():
 
 
 class TestProcessMetrics:
-    """The repro_ground_cache_{hits,misses}_total process counters."""
+    """The repro_ground_cache_{hits,misses}_total counters, derived from
+    the ``grounding.cache`` section of a run's statistics tree."""
 
-    def counters(self):
-        from repro.observability.metrics import get_registry
+    def counters(self, *controls):
+        from repro.observability import SolveStats
+        from repro.observability.export import derived_metrics
 
-        registry = get_registry()
+        run = SolveStats()
+        for control in controls:
+            run.merge(control.statistics)
+        metrics = derived_metrics(run)
         return (
-            registry.counter("repro_ground_cache_hits_total"),
-            registry.counter("repro_ground_cache_misses_total"),
+            metrics["repro_ground_cache_hits_total"],
+            metrics["repro_ground_cache_misses_total"],
         )
 
     def test_miss_then_hit_increment_the_counters(self):
-        hits, misses = self.counters()
-        hits_before, misses_before = hits.value, misses.value
-        Control(PROGRAM).ground()
-        assert misses.value == misses_before + 1
-        assert hits.value == hits_before
-        Control(PROGRAM).ground()
-        assert hits.value == hits_before + 1
-        assert misses.value == misses_before + 1
+        first = Control(PROGRAM)
+        first.ground()
+        assert self.counters(first) == (0, 1)
+        second = Control(PROGRAM)
+        second.ground()
+        assert self.counters(first, second) == (1, 1)
 
     def test_provenance_controls_bypass_cache_and_counters(self):
         first = Control(PROGRAM)
         first_ground = first.ground()
-        hits, misses = self.counters()
-        hits_before, misses_before = hits.value, misses.value
         tracked = Control(PROGRAM, provenance=True)
         tracked_ground = tracked.ground()
         # fresh grounding (cached instance has no origins): counts as a
         # miss — same accounting as trace-sink bypass — never as a hit
         assert tracked_ground is not first_ground
         assert tracked_ground.origins is not None
-        assert hits.value == hits_before
-        assert misses.value == misses_before + 1
+        assert self.counters(tracked) == (0, 1)
         # and the provenance-tracking grounding was not shared back
         assert Control(PROGRAM).ground() is first_ground

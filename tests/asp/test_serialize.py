@@ -102,6 +102,25 @@ class TestRejections:
             dumps_ground(program)
 
 
+    def test_seeded_bit_flips_decode_or_raise_the_typed_error(self):
+        """A flipped bit either still decodes (RGP1 has no checksum) or
+        raises SerializeError — never an IndexError or a
+        UnicodeDecodeError from deep inside the decoder."""
+        import random
+
+        blob = dumps_ground(rich_ground())
+        rng = random.Random(20231)
+        rejected = 0
+        for _ in range(300):
+            data = bytearray(blob)
+            data[rng.randrange(4, len(data))] ^= 1 << rng.randrange(8)
+            try:
+                loads_ground(bytes(data))
+            except SerializeError:
+                rejected += 1
+        assert rejected
+
+
 class TestSharedCache:
     def setup_method(self):
         clear_shared_programs()

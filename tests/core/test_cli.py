@@ -226,6 +226,33 @@ class TestObservabilityFlags:
             if line.startswith("repro_models_total ")
         ]
 
+    def test_metrics_and_stats_compose_with_workers(
+        self, capsys, tmp_path, model_file
+    ):
+        """A sharded run reports the sequential model count: cube
+        workers ship their statistics home and --metrics derives its
+        counters from the merged tree."""
+
+        def run(workers):
+            path = tmp_path / ("w%s.prom" % workers)
+            assert self._analyze(
+                model_file, "--workers", workers, "--stats",
+                "--metrics", str(path),
+            ) == 0
+            models = [
+                line
+                for line in path.read_text().splitlines()
+                if line.startswith("repro_models_total ")
+            ]
+            return models, capsys.readouterr().out
+
+        serial_models, serial_out = run("1")
+        sharded_models, sharded_out = run("2")
+        assert serial_models == sharded_models == ["repro_models_total 23"]
+        for out in (serial_out, sharded_out):
+            assert "Models       : 23" in out
+            assert "Choices" in out
+
     def test_profile_dump(self, tmp_path, model_file):
         import pstats
 

@@ -264,6 +264,71 @@ class TestWorkStealingPool:
         assert respawns.value > respawns_before
 
 
+#: a pool run whose every task streams a partial and then kills its
+#: worker on the first attempt (``argv[1]`` holds the flag files)
+_DIE_MID_STREAM = """
+import os, sys
+from repro.parallel import WorkStealingPool, emit_partial
+
+def task(item):
+    flags, value = item
+    flag = os.path.join(flags, str(value))
+    if not os.path.exists(flag):
+        open(flag, "w").close()
+        emit_partial(("dead", value))
+        os._exit(1)
+    emit_partial(("live", value))
+    return value * value
+
+items = [(sys.argv[1], value) for value in range(%d)]
+kept = {}
+results = WorkStealingPool(2, on_stall=lambda *args: None).map(
+    task,
+    items,
+    on_partial=lambda index, value: kept.setdefault(index, []).append(value),
+    on_retry=lambda index: kept.pop(index, None),
+)
+assert results == [value * value for _, value in items]
+assert kept == {value: [("live", value)] for _, value in items}, kept
+print("ok")
+"""
+
+
+class TestWorkerDeathStress:
+    def test_workers_dying_mid_write_never_stall_the_pool(self, tmp_path):
+        """Every task ships a partial and dies on its first attempt:
+        with a result pipe per worker a death can only tear its own
+        channel, so the pool finishes well inside the wall-clock bound
+        instead of hanging on a lock the dead worker held."""
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [source] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", _DIE_MID_STREAM % 32, str(tmp_path)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("the pool hung after workers died mid-write")
+        assert child.returncode == 0, err
+        assert out.strip() == "ok"
+
+
 class TestParallelByteIdentity:
     """The cube path must stay byte-identical to serial in every mode."""
 

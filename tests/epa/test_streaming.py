@@ -218,6 +218,25 @@ class TestAggregateFold:
             ScenarioAggregate.loads(blob + b"\x00junk")
 
 
+    def test_seeded_bit_flips_decode_or_raise_the_typed_error(self):
+        """A flipped bit either still decodes (RAG1 has no checksum) or
+        raises AggregateError — never an IndexError, UnicodeDecodeError
+        or FaultTaxonomyError from deep inside the decoder."""
+        import random
+
+        blob = EpaEngine(chain_model(), REQ).aggregate(max_faults=2).dumps()
+        rng = random.Random(20231)
+        rejected = 0
+        for _ in range(300):
+            data = bytearray(blob)
+            data[rng.randrange(4, len(data))] ^= 1 << rng.randrange(8)
+            try:
+                ScenarioAggregate.loads(bytes(data))
+            except AggregateError:
+                rejected += 1
+        assert rejected
+
+
 class TestCheckpointResume:
     def test_token_roundtrip(self, tmp_path):
         path = str(tmp_path / "token.ckpt")

@@ -7,6 +7,7 @@ from repro.observability import (
     ChromeTraceSink,
     MemoryTraceSink,
     MetricsRegistry,
+    SolveStats,
     Tracer,
     prometheus_exposition,
     run_manifest,
@@ -14,6 +15,7 @@ from repro.observability import (
     to_chrome_trace,
     write_metrics,
 )
+from repro.observability.export import DERIVED_METRICS, derived_metrics
 
 
 def _span_stream():
@@ -98,7 +100,7 @@ class TestChromeTrace:
 class TestPrometheusExposition:
     def _registry(self):
         registry = MetricsRegistry()
-        registry.counter("repro_models_total", "stable models").inc(12)
+        registry.counter("repro_parallel_steals_total", "tasks stolen").inc(12)
         registry.gauge("repro_workers").set(4)
         hist = registry.histogram(
             "repro_stage_seconds",
@@ -111,13 +113,13 @@ class TestPrometheusExposition:
         return registry
 
     def test_counter_with_help_and_type(self):
-        text = prometheus_exposition(self._registry())
-        assert "# HELP repro_models_total stable models\n" in text
-        assert "# TYPE repro_models_total counter\n" in text
-        assert "\nrepro_models_total 12\n" in text
+        text = prometheus_exposition(None, self._registry())
+        assert "# HELP repro_parallel_steals_total tasks stolen\n" in text
+        assert "# TYPE repro_parallel_steals_total counter\n" in text
+        assert "\nrepro_parallel_steals_total 12\n" in text
 
     def test_histogram_buckets_are_cumulative_with_inf(self):
-        lines = prometheus_exposition(self._registry()).splitlines()
+        lines = prometheus_exposition(None, self._registry()).splitlines()
         buckets = [l for l in lines if l.startswith("repro_stage_seconds_bucket")]
         assert buckets == [
             'repro_stage_seconds_bucket{stage="solve",le="0.1"} 1',
@@ -131,7 +133,7 @@ class TestPrometheusExposition:
         )
 
     def test_families_sorted_and_headers_unique(self):
-        text = prometheus_exposition(self._registry())
+        text = prometheus_exposition(_every_path_tree(), self._registry())
         type_lines = [
             l for l in text.splitlines() if l.startswith("# TYPE")
         ]
@@ -142,24 +144,78 @@ class TestPrometheusExposition:
     def test_label_values_escaped(self):
         registry = MetricsRegistry()
         registry.counter("c", path='a"b\\c\nd').inc()
-        text = prometheus_exposition(registry)
+        text = prometheus_exposition(None, registry)
         assert 'path="a\\"b\\\\c\\nd"' in text
 
     def test_empty_registry_renders_empty(self):
-        assert prometheus_exposition(MetricsRegistry()) == ""
+        assert prometheus_exposition(None, MetricsRegistry()) == ""
 
     def test_write_metrics_to_stream_and_path(self, tmp_path):
         registry = self._registry()
+        tree = _every_path_tree()
         stream = io.StringIO()
-        write_metrics(registry, stream)
-        assert stream.getvalue() == prometheus_exposition(registry)
+        write_metrics(tree, stream, registry)
+        assert stream.getvalue() == prometheus_exposition(tree, registry)
         path = tmp_path / "metrics.prom"
-        write_metrics(registry, str(path))
-        assert path.read_text() == prometheus_exposition(registry)
+        write_metrics(tree, str(path), registry)
+        assert path.read_text() == prometheus_exposition(tree, registry)
 
     def test_write_metrics_dash_is_stdout(self, capsys):
-        write_metrics(self._registry(), "-")
-        assert "repro_models_total 12" in capsys.readouterr().out
+        write_metrics(None, "-", self._registry())
+        assert "repro_parallel_steals_total 12" in capsys.readouterr().out
+
+
+def _every_path_tree():
+    """A statistics tree holding a distinct value at every path the
+    derived metrics read."""
+    tree = SolveStats()
+    paths = sorted(
+        {path for _, _, paths in DERIVED_METRICS.values() for path in paths}
+    )
+    for value, path in enumerate(paths, start=1):
+        tree.set(path, value * 10)
+    return tree
+
+
+class TestDerivedMetrics:
+    def test_every_derived_metric_equals_its_stats_paths(self):
+        tree = _every_path_tree()
+        derived = derived_metrics(tree)
+        assert sorted(derived) == sorted(DERIVED_METRICS)
+        lines = prometheus_exposition(tree, MetricsRegistry()).splitlines()
+        for name, (kind, help_text, paths) in DERIVED_METRICS.items():
+            assert derived[name] == sum(tree.get_path(p) for p in paths)
+            assert "# HELP %s %s" % (name, help_text) in lines
+            assert "# TYPE %s %s" % (name, kind) in lines
+            assert "%s %d" % (name, derived[name]) in lines
+
+    def test_counters_come_from_the_tree_not_the_registry(self):
+        tree = SolveStats()
+        tree.set("summary.models.enumerated", 23)
+        tree.set("summary.calls", 8)
+        text = prometheus_exposition(tree, MetricsRegistry())
+        assert "\nrepro_models_total 23\n" in text
+        assert "\nrepro_solve_calls_total 8\n" in text
+
+    def test_component_metrics_render_only_when_the_component_ran(self):
+        tree = SolveStats()
+        tree.set("summary.calls", 1)
+        derived = derived_metrics(tree)
+        # the ASP core always reports, zero when nothing was counted
+        assert derived["repro_conflicts_total"] == 0
+        assert derived["repro_ground_cache_hits_total"] == 0
+        for absent in (
+            "repro_cegar_iterations_total",
+            "repro_mitigation_optimize_calls_total",
+            "repro_mitigation_optimality_cores_total",
+            "repro_parallel_cubes_total",
+        ):
+            assert absent not in derived
+        tree.set("epa.parallel.shards", 8)
+        assert derived_metrics(tree)["repro_parallel_cubes_total"] == 8
+
+    def test_no_tree_derives_nothing(self):
+        assert prometheus_exposition(None, MetricsRegistry()) == ""
 
 
 class TestRunManifest:

@@ -108,6 +108,21 @@ class TestRunRecorder:
             "running"
         )
 
+    def test_metrics_file_derives_counters_from_the_stats_tree(
+        self, tmp_path
+    ):
+        recorder = RunRecorder(
+            "analyze", CONFIG, root=str(tmp_path), registry=MetricsRegistry()
+        )
+        run_id = recorder.finish(
+            stats={"summary": {"calls": 8, "models": {"enumerated": 23}}}
+        )
+        text = open(
+            os.path.join(str(tmp_path), run_id, METRICS_NAME)
+        ).read()
+        assert "\nrepro_models_total 23\n" in text
+        assert "\nrepro_solve_calls_total 8\n" in text
+
     def test_finish_writes_artifacts_and_finished_line(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("repro_test_total", "test counter").inc(3)

@@ -1,4 +1,4 @@
-"""Metrics registry: instrument semantics, serialization, merge."""
+"""Metrics registry: instrument semantics."""
 
 import pytest
 
@@ -114,129 +114,5 @@ class TestRegistry:
         counter.inc()
         assert registry.counter("m").value == 1
 
-    def test_to_dict_is_sorted_and_json_shaped(self):
-        import json
-
-        registry = MetricsRegistry()
-        registry.counter("b_total", "bees").inc(2)
-        registry.counter("a_total", "ays").inc(1)
-        registry.histogram("lat", buckets=(1.0,), stage="solve").observe(0.5)
-        snapshot = registry.to_dict()
-        assert list(snapshot) == ["a_total", "b_total", "lat"]
-        assert snapshot["b_total"]["series"][0]["value"] == 2
-        assert snapshot["lat"]["series"][0]["labels"] == {"stage": "solve"}
-        json.dumps(snapshot)  # JSON-safe by construction
-
     def test_process_default_registry_is_shared(self):
         assert get_registry() is get_registry()
-
-
-class TestMerge:
-    def _worker_snapshot(self, models, latency):
-        registry = MetricsRegistry()
-        registry.counter("models_total", "models").inc(models)
-        registry.gauge("workers").set(4)
-        registry.histogram(
-            "lat", buckets=(0.1, 1.0), stage="solve"
-        ).observe(latency)
-        return registry.to_dict()
-
-    def test_merge_sums_counters_and_histograms(self):
-        parent = MetricsRegistry()
-        parent.merge(self._worker_snapshot(3, 0.05))
-        parent.merge(self._worker_snapshot(2, 0.5))
-        assert parent.counter("models_total").value == 5
-        hist = parent.histogram("lat", buckets=(0.1, 1.0), stage="solve")
-        assert hist.count == 2
-        assert hist.bucket_counts == [1, 1, 0]
-
-    def test_merge_order_independent(self):
-        snapshots = [
-            self._worker_snapshot(3, 0.05),
-            self._worker_snapshot(2, 0.5),
-            self._worker_snapshot(7, 2.0),
-        ]
-        forward = MetricsRegistry()
-        for snapshot in snapshots:
-            forward.merge(snapshot)
-        backward = MetricsRegistry()
-        for snapshot in reversed(snapshots):
-            backward.merge(snapshot)
-        assert forward.to_dict() == backward.to_dict()
-
-    def test_merge_into_populated_registry(self):
-        parent = MetricsRegistry()
-        parent.counter("models_total", "models").inc(10)
-        parent.merge(self._worker_snapshot(5, 0.2))
-        assert parent.counter("models_total").value == 15
-
-    def test_merge_carries_help_text(self):
-        parent = MetricsRegistry()
-        parent.merge(self._worker_snapshot(1, 0.1))
-        assert parent.help_for("models_total") == "models"
-
-    def test_gauge_merge_takes_incoming_value(self):
-        parent = MetricsRegistry()
-        parent.gauge("workers").set(1)
-        parent.merge(self._worker_snapshot(0, 0.1))
-        assert parent.gauge("workers").value == 4
-
-    def test_bucket_layout_mismatch_raises(self):
-        parent = MetricsRegistry()
-        parent.histogram("lat", buckets=(0.5,), stage="solve")
-        with pytest.raises(MetricsError):
-            parent.merge(self._worker_snapshot(0, 0.1))
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(MetricsError):
-            MetricsRegistry().merge({"m": {"kind": "summary", "series": []}})
-
-    def _telemetry_snapshot(self, worker, age, stalls, scenarios):
-        """One worker's health/progress telemetry, as shipped to the parent."""
-        registry = MetricsRegistry()
-        registry.gauge(
-            "repro_worker_heartbeat_age_seconds",
-            "seconds since each pool worker was last heard from",
-            worker=worker,
-        ).set(age)
-        registry.counter(
-            "repro_worker_stalled_total", "stalled or dead workers"
-        ).inc(stalls)
-        registry.gauge(
-            "repro_progress_scenarios", "scenarios folded so far"
-        ).set(scenarios)
-        return registry.to_dict()
-
-    def test_worker_telemetry_snapshots_merge_out_of_order(self):
-        snapshots = [
-            self._telemetry_snapshot(worker=0, age=1.5, stalls=1, scenarios=100),
-            self._telemetry_snapshot(worker=1, age=0.2, stalls=2, scenarios=250),
-            self._telemetry_snapshot(worker=2, age=9.0, stalls=0, scenarios=400),
-        ]
-        arrival_orders = [snapshots, list(reversed(snapshots))]
-        for order in arrival_orders:
-            parent = MetricsRegistry()
-            for snapshot in order:
-                parent.merge(snapshot)
-            # stall counters sum whatever the arrival order
-            assert parent.counter("repro_worker_stalled_total").value == 3
-            # per-worker heartbeat gauges are distinct labeled series:
-            # each keeps its own worker's reading in either order
-            age = lambda worker: parent.gauge(
-                "repro_worker_heartbeat_age_seconds", worker=worker
-            ).value
-            assert (age(0), age(1), age(2)) == (1.5, 0.2, 9.0)
-            # the unlabeled progress gauge is one series: last write wins,
-            # so it reflects whichever snapshot arrived last
-            assert (
-                parent.gauge("repro_progress_scenarios").value
-                == order[-1]["repro_progress_scenarios"]["series"][0]["value"]
-            )
-
-    def test_roundtrip_through_serialization(self):
-        original = MetricsRegistry()
-        original.counter("c", "help").inc(3)
-        original.histogram("h", buckets=(1.0,)).observe(0.4)
-        copy = MetricsRegistry()
-        copy.merge(original.to_dict())
-        assert copy.to_dict() == original.to_dict()

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.observability import (
-    Counter,
     HumanTraceSink,
     JsonLinesTraceSink,
     MemoryTraceSink,
@@ -134,14 +133,6 @@ class TestTimerCounter:
         with timer:
             pass
         assert len(seen) == 1 and seen[0] >= 0
-
-    def test_counter(self):
-        counter = Counter("conflicts")
-        counter.incr()
-        counter.incr(2)
-        assert int(counter) == 3
-        counter.reset()
-        assert int(counter) == 0
 
 
 class TestTraceSinks:
